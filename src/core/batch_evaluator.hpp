@@ -58,7 +58,6 @@ public:
     // registry the eval.* counters/histograms are updated.  Handles are
     // resolved here, once, so the per-wave cost is a few relaxed atomics.
     void set_instrumentation(obs::Instrumentation inst);
-    const obs::Instrumentation& instrumentation() const { return inst_; }
 
     // Evaluate genomes[i] into out[i] through the shared cache.  Duplicate
     // genomes within the batch are computed once (in-flight dedup).  Blocks
@@ -76,34 +75,29 @@ public:
         std::vector<unsigned char> charged(genomes.size(), 0);
         std::atomic<std::uint64_t> busy_ns{0};
         run_batch(genomes.size(), [&](std::size_t i) {
-            if (!instrumented) {
-                bool fresh = false;
-                out[i] = evaluator.evaluate(genomes[i], &fresh);
-                charged[i] = fresh ? 1 : 0;
-                return;
-            }
-            const auto item_start = std::chrono::steady_clock::now();
+            const auto item_start = instrumented ? std::chrono::steady_clock::now()
+                                                 : std::chrono::steady_clock::time_point{};
             bool fresh = false;
             out[i] = evaluator.evaluate(genomes[i], &fresh);
             charged[i] = fresh ? 1 : 0;
-            busy_ns.fetch_add(static_cast<std::uint64_t>(
-                                  std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                      std::chrono::steady_clock::now() - item_start)
-                                      .count()),
-                              std::memory_order_relaxed);
+            if (instrumented)
+                busy_ns.fetch_add(static_cast<std::uint64_t>(
+                                      std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                          std::chrono::steady_clock::now() - item_start)
+                                          .count()),
+                                  std::memory_order_relaxed);
         });
         const double seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
         eval_seconds_ += seconds;
-        if (obs::ProgressTracker* progress = inst_.progress_tracker()) {
-            std::uint64_t fresh = 0;
-            for (const unsigned char c : charged) fresh += c;
+        std::size_t fresh = 0;
+        for (const unsigned char c : charged) fresh += c;
+        if (obs::ProgressTracker* progress = inst_.progress_tracker())
             progress->on_wave(genomes.size(), fresh, seconds);
-        }
         if (instrumented) {
             WaveRecord wave;
             wave.size = genomes.size();
-            for (const unsigned char c : charged) wave.fresh += c;
+            wave.fresh = fresh;
             wave.waits = evaluator.inflight_waits() - waits_before;
             wave.seconds = seconds;
             wave.busy_seconds = static_cast<double>(busy_ns.load()) * 1e-9;
@@ -125,7 +119,6 @@ public:
 
     // Cumulative measured wall-clock spent inside evaluate() calls.
     double eval_seconds() const { return eval_seconds_; }
-    void reset_timing() { eval_seconds_ = 0.0; }
 
 private:
     struct Pool;  // persistent worker threads (absent when workers <= 1)

@@ -34,19 +34,6 @@ void write_values(std::ostream& out, const std::vector<double>& values)
     for (double v : values) out << ' ' << double_bits(v);
 }
 
-void write_fault(std::ostream& out, const FaultCounters& f)
-{
-    out << "fault " << f.attempts << ' ' << f.retries << ' ' << f.failures << ' '
-        << f.timeouts << ' ' << f.quarantined << ' ' << f.penalties << '\n';
-}
-
-void write_quarantine(std::ostream& out, const std::vector<std::uint64_t>& q)
-{
-    out << "quarantine " << q.size();
-    for (std::uint64_t key : q) out << ' ' << key;
-    out << '\n';
-}
-
 // Token-stream reader with keyword checking; throws std::runtime_error with
 // the offending path and token on any mismatch.
 class Reader {
@@ -99,16 +86,6 @@ public:
         return out;
     }
 
-    std::vector<std::uint64_t> quarantine()
-    {
-        expect("quarantine");
-        const std::size_t n = size();
-        std::vector<std::uint64_t> keys;
-        keys.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) keys.push_back(u64());
-        return keys;
-    }
-
     std::vector<obs::GeneOrigin> origins()
     {
         std::string codes;
@@ -118,17 +95,28 @@ public:
         return out;
     }
 
-    FaultCounters fault()
+    // The pipeline sections shared by both engines; `value(v)` reads one
+    // cached result.
+    template <typename Value, typename ReadValue>
+    void eval_state(EvalState<Value>& s, ReadValue value)
     {
+        expect("cache");
+        s.cache.resize(size());
+        for (auto& [genome, v] : s.cache) {
+            genome = this->genome();
+            value(v);
+        }
+        expect("counters");
+        s.distinct = size();
+        s.calls = size();
+        expect("quarantine");
+        s.quarantine.resize(size());
+        for (std::uint64_t& key : s.quarantine) key = u64();
         expect("fault");
-        FaultCounters f;
-        f.attempts = u64();
-        f.retries = u64();
-        f.failures = u64();
-        f.timeouts = u64();
-        f.quarantined = u64();
-        f.penalties = u64();
-        return f;
+        FaultCounters& f = s.fault;
+        for (std::uint64_t* c : {&f.attempts, &f.retries, &f.failures, &f.timeouts,
+                                 &f.quarantined, &f.penalties})
+            *c = u64();
     }
 
     [[noreturn]] void fail(const std::string& what) const
@@ -140,6 +128,25 @@ private:
     std::istream& in_;
     std::string path_;
 };
+
+// Writes the pipeline sections shared by both engines; `value(v)` writes
+// one cached result after its genome.
+template <typename Value, typename WriteValue>
+void write_eval_state(std::ostream& out, const EvalState<Value>& s, WriteValue value)
+{
+    out << "cache " << s.cache.size() << '\n';
+    for (const auto& [genome, v] : s.cache) {
+        write_genome(out, genome);
+        value(v);
+        out << '\n';
+    }
+    out << "counters " << s.distinct << ' ' << s.calls << '\n';
+    out << "quarantine " << s.quarantine.size();
+    for (std::uint64_t key : s.quarantine) out << ' ' << key;
+    const FaultCounters& f = s.fault;
+    out << "\nfault " << f.attempts << ' ' << f.retries << ' ' << f.failures << ' '
+        << f.timeouts << ' ' << f.quarantined << ' ' << f.penalties << '\n';
+}
 
 void commit(const std::string& path, const std::string& content)
 {
@@ -177,14 +184,9 @@ void save_checkpoint(const std::string& path, const GaCheckpoint& cp)
         write_genome(out, g);
         out << '\n';
     }
-    out << "cache " << cp.cache.size() << '\n';
-    for (const auto& [genome, eval] : cp.cache) {
-        write_genome(out, genome);
-        out << ' ' << (eval.feasible ? 1 : 0) << ' ' << double_bits(eval.value) << '\n';
-    }
-    out << "counters " << cp.distinct << ' ' << cp.calls << '\n';
-    write_quarantine(out, cp.quarantine);
-    write_fault(out, cp.fault);
+    write_eval_state(out, cp, [&](const Evaluation& e) {
+        out << ' ' << (e.feasible ? 1 : 0) << ' ' << double_bits(e.value);
+    });
     out << "lineage " << (cp.have_lineage ? 1 : 0) << '\n';
     if (cp.have_lineage) {
         out << "slots " << cp.lineage.slot_ids.size();
@@ -226,19 +228,13 @@ void save_checkpoint(const std::string& path, const Nsga2Checkpoint& cp)
         write_values(out, cp.archive_values[i]);
         out << '\n';
     }
-    out << "cache " << cp.cache.size() << '\n';
-    for (const auto& [genome, value] : cp.cache) {
-        write_genome(out, genome);
-        out << ' ' << (value.has_value() ? 1 : 0);
-        if (value.has_value()) {
+    write_eval_state(out, cp, [&](const ObjectiveValues& v) {
+        out << ' ' << (v.has_value() ? 1 : 0);
+        if (v.has_value()) {
             out << ' ';
-            write_values(out, *value);
+            write_values(out, *v);
         }
-        out << '\n';
-    }
-    out << "counters " << cp.distinct << ' ' << cp.calls << '\n';
-    write_quarantine(out, cp.quarantine);
-    write_fault(out, cp.fault);
+    });
     out << "end\n";
     commit(path, out.str());
 }
@@ -303,18 +299,10 @@ GaCheckpoint load_ga_checkpoint(const std::string& path)
     r.expect("population");
     cp.population.resize(r.size());
     for (Genome& g : cp.population) g = r.genome();
-    r.expect("cache");
-    cp.cache.resize(r.size());
-    for (auto& [genome, eval] : cp.cache) {
-        genome = r.genome();
-        eval.feasible = r.boolean();
-        eval.value = r.dbl();
-    }
-    r.expect("counters");
-    cp.distinct = r.size();
-    cp.calls = r.size();
-    cp.quarantine = r.quarantine();
-    cp.fault = r.fault();
+    r.eval_state(cp, [&](Evaluation& e) {
+        e.feasible = r.boolean();
+        e.value = r.dbl();
+    });
     r.expect("lineage");
     cp.have_lineage = r.boolean();
     if (cp.have_lineage) {
@@ -376,18 +364,10 @@ Nsga2Checkpoint load_nsga2_checkpoint(const std::string& path)
         cp.archive[i] = r.genome();
         cp.archive_values[i] = r.values();
     }
-    r.expect("cache");
-    cp.cache.resize(r.size());
-    for (auto& [genome, value] : cp.cache) {
-        genome = r.genome();
-        if (r.boolean()) value = r.values();
-        else value = std::nullopt;
-    }
-    r.expect("counters");
-    cp.distinct = r.size();
-    cp.calls = r.size();
-    cp.quarantine = r.quarantine();
-    cp.fault = r.fault();
+    r.eval_state(cp, [&](ObjectiveValues& v) {
+        if (r.boolean()) v = r.values();
+        else v = std::nullopt;
+    });
     r.expect("end");
     return cp;
 }

@@ -26,7 +26,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/fault.hpp"
+#include "core/eval_pipeline.hpp"
 #include "core/ga.hpp"
 #include "core/run_stats.hpp"
 #include "obs/lineage.hpp"
@@ -38,8 +38,8 @@ namespace nautilus {
 inline constexpr std::uint32_t k_checkpoint_version = 2;
 
 // Single-objective GA run state, captured at "about to evaluate generation
-// `generation`".
-struct GaCheckpoint {
+// `generation`".  The evaluation pipeline's state is the EvalState base.
+struct GaCheckpoint : EvalState<Evaluation> {
     std::uint64_t config_hash = 0;
     std::uint64_t seed = 0;
     std::size_t generation = 0;  // next generation to evaluate
@@ -55,13 +55,6 @@ struct GaCheckpoint {
     double best_so_far = 0.0;
     std::size_t stall = 0;
 
-    // Evaluator state.
-    std::vector<std::pair<Genome, Evaluation>> cache;
-    std::size_t distinct = 0;
-    std::size_t calls = 0;
-    std::vector<std::uint64_t> quarantine;
-    FaultCounters fault;
-
     // Lineage recorder state (present only when the interrupted run was
     // recording; a resume without it falls back to op=resume roots).
     bool have_lineage = false;
@@ -69,9 +62,7 @@ struct GaCheckpoint {
 };
 
 // NSGA-II run state, captured at the top of the generation loop.
-struct Nsga2Checkpoint {
-    using MultiValue = std::optional<std::vector<double>>;
-
+struct Nsga2Checkpoint : EvalState<ObjectiveValues> {
     std::uint64_t config_hash = 0;
     std::uint64_t seed = 0;
     std::size_t generation = 0;
@@ -82,12 +73,6 @@ struct Nsga2Checkpoint {
     std::vector<std::vector<double>> population_values;
     std::vector<Genome> archive;
     std::vector<std::vector<double>> archive_values;
-
-    std::vector<std::pair<Genome, MultiValue>> cache;
-    std::size_t distinct = 0;
-    std::size_t calls = 0;
-    std::vector<std::uint64_t> quarantine;
-    FaultCounters fault;
 };
 
 // Atomically write `cp` to `path` (via "<path>.tmp" + rename).  Throws

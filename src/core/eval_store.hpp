@@ -185,18 +185,4 @@ private:
     obs::Gauge* m_bytes_ = nullptr;
 };
 
-// Conversions between engine value types and StoredResult.
-inline StoredResult stored_from_evaluation(const Evaluation& e)
-{
-    return StoredResult{e.feasible, {e.value}};
-}
-
-// nullopt on arity mismatch (wrong record shape for this engine): the caller
-// treats that as a store miss and recomputes.
-inline std::optional<Evaluation> stored_to_evaluation(const StoredResult& r)
-{
-    if (r.values.size() != 1) return std::nullopt;
-    return Evaluation{r.feasible, r.values.front()};
-}
-
 }  // namespace nautilus

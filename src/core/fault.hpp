@@ -120,8 +120,6 @@ public:
     FaultTolerantEvaluator(const FaultTolerantEvaluator&) = delete;
     FaultTolerantEvaluator& operator=(const FaultTolerantEvaluator&) = delete;
 
-    const FaultPolicy& policy() const { return policy_; }
-
     // Attach tracing + metrics; failed attempts emit "eval_fault" events and
     // quarantines emit "quarantine" events.  Handles resolved once.
     void set_instrumentation(obs::Instrumentation inst)

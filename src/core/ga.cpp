@@ -1,7 +1,6 @@
 #include "core/ga.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -10,6 +9,7 @@
 
 #include "core/breed.hpp"
 #include "core/checkpoint.hpp"
+#include "core/eval_pipeline.hpp"
 
 namespace nautilus {
 
@@ -28,13 +28,8 @@ void GaConfig::validate() const
         throw std::invalid_argument("GaConfig: rank_pressure out of [1, 2]");
     if (selection.tournament_size == 0)
         throw std::invalid_argument("GaConfig: tournament_size must be >= 1");
-    if (eval_workers == 0)
-        throw std::invalid_argument("GaConfig: eval_workers must be >= 1");
-    fault.validate();
-    if (checkpoint_every == 0)
-        throw std::invalid_argument("GaConfig: checkpoint_every must be >= 1");
-    if (halt_at_generation != 0 && checkpoint_path.empty())
-        throw std::invalid_argument("GaConfig: halt_at_generation requires checkpoint_path");
+    validate_eval("GaConfig");
+    validate_checkpoint("GaConfig");
 }
 
 void GaEngine::seed_population(std::vector<Genome> seeds)
@@ -112,49 +107,12 @@ RunResult GaEngine::resume(const std::string& checkpoint_path) const
 RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) const
 {
     Rng rng{seed};
-    // The fault guard sits *below* the memoization cache: every cache miss is
-    // one guarded call, so penalties are cached like ordinary results and
-    // attempts == distinct evals + retries (DESIGN.md section 8).
-    FaultTolerantEvaluator<Evaluation> guard{eval_, config_.fault, config_.fault_penalty};
-    guard.set_instrumentation(config_.obs);
-    // The persistent store (when attached) answers memo misses before the
-    // fault guard runs, so warm runs skip the evaluator but still charge a
-    // distinct evaluation in the memo layer -- results and determinism-gated
-    // counters are identical cold vs warm.  Penalized outcomes are per-run
-    // policy and are never written back.
-    EvalStore* store = config_.store.get();
-    const std::uint64_t store_ns = config_.store_namespace;
-    std::atomic<std::size_t> store_hits{0};
-    std::atomic<std::size_t> store_misses{0};
-    CachingEvaluator evaluator{[&](const Genome& g) -> Evaluation {
-        if (store != nullptr) {
-            if (const std::optional<StoredResult> cached = store->lookup(store_ns, g)) {
-                if (const std::optional<Evaluation> e = stored_to_evaluation(*cached)) {
-                    store_hits.fetch_add(1, std::memory_order_relaxed);
-                    return *e;
-                }
-            }
-        }
-        EvalOutcome outcome;
-        const Evaluation e = guard.evaluate(g, &outcome);
-        if (store != nullptr) {
-            store_misses.fetch_add(1, std::memory_order_relaxed);
-            if (!outcome.penalized) store->insert(store_ns, g, stored_from_evaluation(e));
-        }
-        return e;
-    }};
-    BatchEvaluator batch_eval{config_.eval_workers};
-    batch_eval.set_observer(config_.eval_observer);
-    batch_eval.set_instrumentation(config_.obs);
+    EvalPipeline<Evaluation> pipe{eval_, config_, config_.fault_penalty};
+    pipe.set_observer(config_.eval_observer);
     const obs::Tracer& tracer = config_.obs.tracer;
     obs::Counter* m_generations = nullptr;
-    obs::Counter* m_checkpoints = nullptr;
-    if (obs::MetricsRegistry* reg = config_.obs.registry()) {
-        reg->counter("ga.runs").add();
+    if (obs::MetricsRegistry* reg = config_.obs.registry())
         m_generations = &reg->counter("ga.generations");
-        if (!config_.checkpoint_path.empty())
-            m_checkpoints = &reg->counter("checkpoint.writes");
-    }
 
     const FitnessMapper mapper{direction_};
     RunResult result{direction_};
@@ -177,12 +135,7 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
         result.best_eval = restored->best_eval;
         best_so_far = restored->best_so_far;
         stall = restored->stall;
-        CachingEvaluator::Snapshot snap;
-        snap.entries = restored->cache;
-        snap.distinct = restored->distinct;
-        snap.calls = restored->calls;
-        evaluator.restore(snap);
-        guard.restore(restored->quarantine, restored->fault);
+        pipe.restore(*restored);
     }
     else {
         for (const Genome& g : seeds_) population.push_back(g);
@@ -191,32 +144,18 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
     }
     result.start_generation = start_gen;
 
-    obs::ProgressTracker* progress = config_.obs.progress_tracker();
-    if (progress != nullptr)
-        progress->on_run_start("ga", config_.generations, start_gen);
-
-    if (tracer.enabled()) {
-        obs::TraceEvent ev{"run_start"};
-        ev.add("engine", "ga")
-            .add("seed", std::size_t{seed})
-            .add("population", config_.population_size)
+    const auto run_fields = [&](obs::TraceEvent& ev) {
+        ev.add("population", config_.population_size)
             .add("generations", config_.generations)
-            .add("workers", config_.eval_workers)
             .add("mutation_rate", obs::FieldValue{config_.mutation_rate})
             .add("crossover_rate", obs::FieldValue{config_.crossover_rate})
             .add("confidence", obs::FieldValue{hints_.confidence()});
-        if (restored != nullptr) {
-            const FaultCounters fc = guard.counters();
-            ev.add("resumed", obs::FieldValue{true})
-                .add("start_generation", start_gen)
-                .add("distinct_at_start", evaluator.distinct_evaluations())
-                .add("attempts_at_start", std::size_t{fc.attempts})
-                .add("retries_at_start", std::size_t{fc.retries});
-        }
-        for (const auto& [key, value] : config_.obs.run_tags) ev.add(key, value);
-        tracer.emit(std::move(ev));
-    }
-    obs::ScopedTimer run_span{tracer, "ga.run"};
+    };
+    const std::optional<std::size_t> resumed_at =
+        restored != nullptr ? std::optional{start_gen} : std::nullopt;
+    const RunScope scope{"ga", config_.obs, pipe, seed, config_.generations,
+                         run_fields, resumed_at, &config_};
+    obs::ProgressTracker* progress = scope.progress();
 
     // Lineage recording (DESIGN.md section 11): active whenever tracing is on
     // or a live tracker is attached.  Recording is pure observation -- it
@@ -256,27 +195,13 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
         cp.best_eval = result.best_eval;
         cp.best_so_far = best_so_far;
         cp.stall = stall;
-        CachingEvaluator::Snapshot snap = evaluator.snapshot();
-        cp.cache = std::move(snap.entries);
-        cp.distinct = snap.distinct;
-        cp.calls = snap.calls;
-        cp.quarantine = guard.quarantined_keys();
-        cp.fault = guard.counters();
+        pipe.snapshot(cp);
         if (lineage.has_value()) {
             cp.have_lineage = true;
             cp.lineage = lineage->snapshot(ids);
         }
         save_checkpoint(config_.checkpoint_path, cp);
-        if (m_checkpoints != nullptr) m_checkpoints->add();
-        if (tracer.enabled()) {
-            obs::TraceEvent ev{"checkpoint"};
-            ev.add("engine", "ga")
-                .add("path", config_.checkpoint_path.c_str())
-                .add("generation", gen)
-                .add("cache", cp.cache.size())
-                .add("quarantined", cp.quarantine.size());
-            tracer.emit(std::move(ev));
-        }
+        scope.checkpointed(gen, cp.cache.size(), cp.quarantine.size());
     };
 
     std::vector<Evaluation> evals(config_.population_size);
@@ -297,31 +222,19 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
     BirthLog birth_log;
 
     for (std::size_t gen = start_gen; gen < config_.generations; ++gen) {
-        // A cancel token trips the same machinery as halt_at_generation:
-        // checkpoint at the boundary, result.halted = true.  Both require at
-        // least one generation of progress past the resume point so a
-        // cancel/resubmit cycle always advances.
-        const bool halt_here =
-            (config_.halt_at_generation != 0 && gen == config_.halt_at_generation &&
-             gen > start_gen) ||
-            (config_.cancel != nullptr &&
-             config_.cancel->load(std::memory_order_acquire) && gen > start_gen);
-        if (!config_.checkpoint_path.empty() && gen > start_gen &&
-            (gen % config_.checkpoint_every == 0 || halt_here))
-            write_checkpoint(gen);
-        if (halt_here) {
+        if (scope.halts_at(gen, start_gen, write_checkpoint)) {
             result.halted = true;
             break;
         }
         // --- Evaluate (fans out across the worker pool) -------------------
-        batch_eval.evaluate(evaluator, population, std::span<Evaluation>{evals});
+        pipe.evaluate(population, std::span<Evaluation>{evals});
         for (std::size_t i = 0; i < population.size(); ++i)
             fitness[i] = mapper.fitness(evals[i]);
 
         // --- Record statistics ------------------------------------------
         GenerationStats stats;
         stats.generation = gen;
-        stats.distinct_evals = evaluator.distinct_evaluations();
+        stats.distinct_evals = pipe.distinct();
         double gen_best = worst_value(direction_);
         double gen_worst = direction_ == Direction::maximize
                                ? std::numeric_limits<double>::infinity()
@@ -434,60 +347,34 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
         }
     }
 
-    result.distinct_evals = evaluator.distinct_evaluations();
-    result.total_eval_calls = evaluator.total_calls();
-    result.eval_seconds = batch_eval.eval_seconds();
-    result.eval_workers = batch_eval.workers();
+    pipe.counters().copy_to(result);
     result.final_population = std::move(population);
     result.final_rng_state = rng.state();
-    result.fault = guard.counters();
-    result.store_hits = store_hits.load(std::memory_order_relaxed);
-    result.store_misses = store_misses.load(std::memory_order_relaxed);
     if (lineage.has_value()) {
         std::vector<std::uint64_t> winners;
         if (lineage->last_improved() != obs::k_no_parent)
             winners.push_back(lineage->last_improved());
         lineage->finish(winners);
     }
-    if (progress != nullptr) progress->on_run_end();
-    if (tracer.enabled()) {
-        obs::TraceEvent ev{"run_end"};
-        ev.add("engine", "ga")
-            .add("distinct_evals", result.distinct_evals)
-            .add("total_calls", result.total_eval_calls)
-            .add("inflight_waits", evaluator.inflight_waits())
-            .add("generations", result.history.size())
+    scope.finish(pipe, [&](obs::TraceEvent& ev) {
+        ev.add("generations", result.history.size())
             .add("feasible", obs::FieldValue{have_best})
             .add("best", obs::FieldValue{have_best ? best_so_far : 0.0})
             .add("hit_target", obs::FieldValue{result.hit_target})
             .add("stalled", obs::FieldValue{result.stalled})
-            .add("halted", obs::FieldValue{result.halted})
-            .add("eval_seconds", obs::FieldValue{result.eval_seconds})
-            .add("attempts", std::size_t{result.fault.attempts})
-            .add("retries", std::size_t{result.fault.retries})
-            .add("eval_failures", std::size_t{result.fault.failures})
-            .add("eval_timeouts", std::size_t{result.fault.timeouts})
-            .add("quarantined", std::size_t{result.fault.quarantined})
-            .add("penalties", std::size_t{result.fault.penalties});
-        if (store != nullptr)
-            ev.add("store_hits", result.store_hits)
-                .add("store_misses", result.store_misses);
-        tracer.emit(std::move(ev));
-    }
+            .add("halted", obs::FieldValue{result.halted});
+    });
     return result;
 }
 
 MultiRunCurve GaEngine::run_many(std::size_t count, EvalSummary* summary) const
 {
-    if (count == 0) throw std::invalid_argument("GaEngine::run_many: count must be >= 1");
-    MultiRunCurve multi{direction_};
-    Rng seeder{config_.seed};
-    for (std::size_t i = 0; i < count; ++i) {
-        const RunResult r = run(seeder.next_u64());
-        if (summary != nullptr) summary->absorb(r);
-        if (!r.curve.empty()) multi.add_run(r.curve);
-    }
-    return multi;
+    return run_many_curves("GaEngine::run_many", direction_, config_.seed, count,
+                           [&](std::uint64_t seed) {
+                               RunResult r = run(seed);
+                               if (summary != nullptr) summary->absorb(r);
+                               return std::move(r.curve);
+                           });
 }
 
 }  // namespace nautilus

@@ -5,20 +5,15 @@
 // *baseline GA* (PyEvolve-style defaults: population 10, per-gene mutation
 // rate 0.1, 80 generations); with author hints and nonzero confidence it is
 // *Nautilus*.  The evaluation cost model (distinct synthesized designs) is
-// delegated to CachingEvaluator.
+// delegated to the evaluation pipeline (core/eval_pipeline.hpp).
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "core/batch_evaluator.hpp"
-#include "core/eval_store.hpp"
-#include "core/evaluator.hpp"
-#include "core/fault.hpp"
+#include "core/eval_pipeline.hpp"
 #include "core/fitness.hpp"
 #include "core/genome.hpp"
 #include "core/hints.hpp"
@@ -30,7 +25,9 @@ namespace nautilus {
 
 struct GaCheckpoint;  // core/checkpoint.hpp
 
-struct GaConfig {
+// Evaluation settings (workers, tracing, faults, store) come from
+// EvalPipelineConfig; checkpoint and cancel settings from CheckpointConfig.
+struct GaConfig : EvalPipelineConfig, CheckpointConfig {
     std::size_t population_size = 10;   // paper section 4.1
     std::size_t generations = 80;       // paper section 4.1
     double mutation_rate = 0.1;         // per-gene, paper section 4.1
@@ -59,53 +56,14 @@ struct GaConfig {
     // improvement (0 = run all generations).
     std::size_t stall_generations = 0;
 
-    // Threads evaluating each generation concurrently (1 = serial).  The
-    // population size caps the useful parallelism (paper section 2); results
-    // are bit-for-bit identical for any worker count.
-    std::size_t eval_workers = 1;
     // Invoked after each generation's evaluation batch with the freshly
     // evaluated genomes and the measured wall-clock -- e.g. to drive a
     // simulated synth::SynthesisCluster alongside the real pool.
     BatchObserver eval_observer;
-    // Tracing + metrics (both off by default; see src/obs/ and DESIGN.md
-    // section 7).  Search results are identical with or without tracing.
-    obs::Instrumentation obs;
-
-    // Fault tolerance (DESIGN.md section 8).  With tolerate_failures on,
-    // evaluations that still fail after the retry ladder are quarantined and
-    // answered with `fault_penalty` (infeasible by default) instead of
-    // aborting the run.
-    FaultPolicy fault;
+    // With fault.tolerate_failures on, evaluations that still fail after the
+    // retry ladder are quarantined and answered with this penalty
+    // (infeasible by default) instead of aborting the run.
     Evaluation fault_penalty{false, 0.0};
-
-    // Cross-run persistent evaluation store (core/eval_store.hpp).  When
-    // set, the store is consulted below the per-run memoization cache and
-    // above the fault guard: a hit skips the evaluator entirely but still
-    // charges one distinct evaluation, so results and every determinism-
-    // gated counter are bit-for-bit identical with or without the store.
-    // Deliberately excluded from config_fingerprint: a checkpointed run may
-    // resume with or without a store attached.
-    std::shared_ptr<EvalStore> store;
-    std::uint64_t store_namespace = 0;  // EvalStore::namespace_key(...)
-
-    // Cooperative cancellation (the job server's DELETE /jobs/<id>).  When
-    // set and observed true at a generation boundary, the run writes a
-    // checkpoint (when checkpoint_path is set) and stops with
-    // result.halted = true, exactly like halt_at_generation -- so a
-    // cancelled job can be resubmitted and resumed bit-exactly.  Like the
-    // store, deliberately excluded from config_fingerprint: a checkpoint may
-    // resume with or without a token attached.
-    std::shared_ptr<const std::atomic<bool>> cancel;
-
-    // Checkpoint/resume.  When `checkpoint_path` is set, the full run state
-    // is written there every `checkpoint_every` generations (atomically, via
-    // a temp file).  `halt_at_generation` (when nonzero) writes a checkpoint
-    // at that generation and stops the run with result.halted = true -- a
-    // deterministic stand-in for "the process was killed", used by the
-    // resume tests and `nautilus_cli --die-at-gen`.
-    std::string checkpoint_path;
-    std::size_t checkpoint_every = 1;
-    std::size_t halt_at_generation = 0;  // 0 = never halt
 
     void validate() const;  // throws std::invalid_argument on bad settings
 };

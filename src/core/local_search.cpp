@@ -1,15 +1,14 @@
 #include "core/local_search.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
-#include "core/batch_evaluator.hpp"
 #include "core/breed.hpp"
+#include "core/eval_pipeline.hpp"
 
 namespace nautilus {
 
@@ -44,6 +43,28 @@ void check_engine_args(const ParameterSpace& space, const EvalFn& eval,
     hints.validate(space);
 }
 
+// Ends a walk: the best holder wins the lineage, progress reports the final
+// units and best, run_end is emitted and `counters` (when set) filled.
+void finish_walk(const RunScope& scope, const EvalPipeline<Evaluation>& pipe,
+                 std::optional<obs::LineageRecorder>& lineage, bool feasible, double best,
+                 std::uint64_t best_id, EvalCounters* counters)
+{
+    if (lineage.has_value()) {
+        std::vector<std::uint64_t> winners;
+        if (feasible && best_id != obs::k_no_parent) winners.push_back(best_id);
+        lineage->finish(winners);
+    }
+    if (obs::ProgressTracker* progress = scope.progress()) {
+        progress->on_units(pipe.distinct());
+        if (feasible) progress->on_best(best);
+    }
+    scope.finish(pipe, [&](obs::TraceEvent& ev) {
+        ev.add("feasible", obs::FieldValue{feasible})
+            .add("best", obs::FieldValue{feasible ? best : 0.0});
+    });
+    if (counters != nullptr) *counters = pipe.counters();
+}
+
 }  // namespace
 
 void AnnealingConfig::validate() const
@@ -58,9 +79,7 @@ void AnnealingConfig::validate() const
         throw std::invalid_argument("AnnealingConfig: mutation_rate out of (0, 1]");
     if (initial_temperature < 0.0)
         throw std::invalid_argument("AnnealingConfig: negative initial temperature");
-    if (eval_workers == 0)
-        throw std::invalid_argument("AnnealingConfig: eval_workers must be >= 1");
-    fault.validate();
+    validate_eval("AnnealingConfig");
 }
 
 SimulatedAnnealing::SimulatedAnnealing(const ParameterSpace& space, AnnealingConfig config,
@@ -75,50 +94,17 @@ SimulatedAnnealing::SimulatedAnnealing(const ParameterSpace& space, AnnealingCon
     check_engine_args(space_, eval_, hints_);
 }
 
-Curve SimulatedAnnealing::run(std::uint64_t seed) const
+Curve SimulatedAnnealing::run(std::uint64_t seed, EvalCounters* counters) const
 {
     Rng rng{seed};
-    FaultTolerantEvaluator<Evaluation> guard{eval_, config_.fault, config_.fault_penalty};
-    guard.set_instrumentation(config_.obs);
-    // Persistent store tier below the memo cache (see GaEngine::run_impl).
-    EvalStore* store = config_.store.get();
-    const std::uint64_t store_ns = config_.store_namespace;
-    std::atomic<std::size_t> store_hits{0};
-    std::atomic<std::size_t> store_misses{0};
-    CachingEvaluator evaluator{[&](const Genome& g) -> Evaluation {
-        if (store != nullptr) {
-            if (const std::optional<StoredResult> cached = store->lookup(store_ns, g)) {
-                if (const std::optional<Evaluation> e = stored_to_evaluation(*cached)) {
-                    store_hits.fetch_add(1, std::memory_order_relaxed);
-                    return *e;
-                }
-            }
-        }
-        EvalOutcome outcome;
-        const Evaluation e = guard.evaluate(g, &outcome);
-        if (store != nullptr) {
-            store_misses.fetch_add(1, std::memory_order_relaxed);
-            if (!outcome.penalized) store->insert(store_ns, g, stored_from_evaluation(e));
-        }
-        return e;
-    }};
-    BatchEvaluator batch_eval{config_.eval_workers};
-    batch_eval.set_instrumentation(config_.obs);
+    EvalPipeline<Evaluation> pipe{eval_, config_, config_.fault_penalty};
     const obs::Tracer& tracer = config_.obs.tracer;
-    if (obs::MetricsRegistry* reg = config_.obs.registry()) reg->counter("sa.runs").add();
-    obs::ProgressTracker* progress = config_.obs.progress_tracker();
-    if (progress != nullptr) progress->on_run_start("sa", config_.max_distinct_evals);
-    if (tracer.enabled()) {
-        obs::TraceEvent ev{"run_start"};
-        ev.add("engine", "sa")
-            .add("seed", static_cast<std::size_t>(seed))
-            .add("budget", config_.max_distinct_evals)
-            .add("workers", config_.eval_workers)
-            .add("confidence", obs::FieldValue{hints_.confidence()});
-        for (const auto& [key, value] : config_.obs.run_tags) ev.add(key, value);
-        tracer.emit(std::move(ev));
-    }
-    obs::ScopedTimer run_span{tracer, "sa.run"};
+    const RunScope scope{"sa", config_.obs, pipe, seed, config_.max_distinct_evals,
+                         [&](obs::TraceEvent& ev) {
+                             ev.add("budget", config_.max_distinct_evals)
+                                 .add("confidence", obs::FieldValue{hints_.confidence()});
+                         }};
+    obs::ProgressTracker* progress = scope.progress();
 
     // Lineage recording (DESIGN.md section 11): every accepted chain step is
     // a survival, the best-so-far holder is the winner.
@@ -131,37 +117,6 @@ Curve SimulatedAnnealing::run(std::uint64_t seed) const
         prop_origins.resize(space_.size());
     }
 
-    const auto emit_run_end = [&](bool feasible, double best_value) {
-        if (lineage.has_value()) {
-            std::vector<std::uint64_t> winners;
-            if (feasible && best_id != obs::k_no_parent) winners.push_back(best_id);
-            lineage->finish(winners);
-        }
-        if (progress != nullptr) {
-            progress->on_units(evaluator.distinct_evaluations());
-            if (feasible) progress->on_best(best_value);
-            progress->on_run_end();
-        }
-        if (!tracer.enabled()) return;
-        obs::TraceEvent ev{"run_end"};
-        ev.add("engine", "sa")
-            .add("distinct_evals", evaluator.distinct_evaluations())
-            .add("total_calls", evaluator.total_calls())
-            .add("inflight_waits", evaluator.inflight_waits())
-            .add("feasible", obs::FieldValue{feasible})
-            .add("best", obs::FieldValue{feasible ? best_value : 0.0})
-            .add("eval_seconds", obs::FieldValue{batch_eval.eval_seconds()});
-        if (store != nullptr)
-            ev.add("store_hits", store_hits.load(std::memory_order_relaxed))
-                .add("store_misses", store_misses.load(std::memory_order_relaxed));
-        tracer.emit(std::move(ev));
-    };
-    const auto evaluate = [&](const Genome& g) {
-        Evaluation out;
-        batch_eval.evaluate(evaluator, std::span<const Genome>{&g, 1},
-                            std::span<Evaluation>{&out, 1});
-        return out;
-    };
     const FitnessMapper mapper{direction_};
     Curve curve{direction_};
 
@@ -171,18 +126,18 @@ Curve SimulatedAnnealing::run(std::uint64_t seed) const
     Genome current = Genome::random(space_, rng);
     if (lineage.has_value())
         current_id = lineage->on_root(0, obs::BirthOp::init, space_.size());
-    Evaluation current_eval = evaluate(current);
+    Evaluation current_eval = pipe.evaluate(current);
     for (int tries = 0;
          !current_eval.feasible && tries < 200 &&
-         evaluator.distinct_evaluations() < config_.max_distinct_evals;
+         pipe.distinct() < config_.max_distinct_evals;
          ++tries) {
         current = Genome::random(space_, rng);
         if (lineage.has_value())
             current_id = lineage->on_root(0, obs::BirthOp::init, space_.size());
-        current_eval = evaluate(current);
+        current_eval = pipe.evaluate(current);
     }
     if (!current_eval.feasible) {
-        emit_run_end(false, 0.0);
+        finish_walk(scope, pipe, lineage, false, 0.0, best_id, counters);
         return curve;
     }
     if (lineage.has_value()) {
@@ -191,7 +146,7 @@ Curve SimulatedAnnealing::run(std::uint64_t seed) const
     }
 
     double best = current_eval.value;
-    curve.append(static_cast<double>(evaluator.distinct_evaluations()), best);
+    curve.append(static_cast<double>(pipe.distinct()), best);
 
     // Auto temperature: a few probe moves estimate the cost scale.  The
     // probe chain is built single-threaded (mutation only consumes rng),
@@ -201,7 +156,7 @@ Curve SimulatedAnnealing::run(std::uint64_t seed) const
     if (temperature == 0.0) {
         double spread = 0.0;
         const std::size_t remaining =
-            config_.max_distinct_evals - evaluator.distinct_evaluations();
+            config_.max_distinct_evals - pipe.distinct();
         std::vector<Genome> probes;
         Genome probe = current;
         std::uint64_t probe_id = current_id;
@@ -214,7 +169,7 @@ Curve SimulatedAnnealing::run(std::uint64_t seed) const
             probes.push_back(probe);
         }
         std::vector<Evaluation> probe_evals(probes.size());
-        batch_eval.evaluate(evaluator, probes, std::span<Evaluation>{probe_evals});
+        pipe.evaluate(probes, std::span<Evaluation>{probe_evals});
         for (const Evaluation& e : probe_evals)
             if (e.feasible)
                 spread = std::max(spread, std::abs(e.value - current_eval.value));
@@ -222,14 +177,14 @@ Curve SimulatedAnnealing::run(std::uint64_t seed) const
     }
 
     std::size_t step = 0;
-    while (evaluator.distinct_evaluations() < config_.max_distinct_evals) {
+    while (pipe.distinct() < config_.max_distinct_evals) {
         const Genome candidate = propose(
             current, ctx, rng, lineage.has_value() ? prop_origins.data() : nullptr);
         std::uint64_t cand_id = obs::k_no_parent;
         if (lineage.has_value())
             cand_id = lineage->on_child(current_id, obs::k_no_parent, false, step,
                                         prop_origins);
-        const Evaluation cand_eval = evaluate(candidate);
+        const Evaluation cand_eval = pipe.evaluate(candidate);
         const double delta = mapper.fitness(cand_eval) - mapper.fitness(current_eval);
         const bool accept =
             delta >= 0.0 ||
@@ -247,31 +202,24 @@ Curve SimulatedAnnealing::run(std::uint64_t seed) const
                     lineage->on_improved(cand_id);
                     best_id = cand_id;
                 }
-                curve.append(static_cast<double>(evaluator.distinct_evaluations()), best);
+                curve.append(static_cast<double>(pipe.distinct()), best);
             }
         }
         if (++step % config_.steps_per_temperature == 0)
             temperature = std::max(temperature * config_.cooling, 1e-12);
         if (progress != nullptr) {
-            progress->on_units(evaluator.distinct_evaluations());
+            progress->on_units(pipe.distinct());
             progress->on_best(best);
         }
     }
-    emit_run_end(true, best);
+    finish_walk(scope, pipe, lineage, true, best, best_id, counters);
     return curve;
 }
 
 MultiRunCurve SimulatedAnnealing::run_many(std::size_t count) const
 {
-    if (count == 0)
-        throw std::invalid_argument("SimulatedAnnealing::run_many: count must be >= 1");
-    MultiRunCurve multi{direction_};
-    Rng seeder{config_.seed};
-    for (std::size_t i = 0; i < count; ++i) {
-        Curve c = run(seeder.next_u64());
-        if (!c.empty()) multi.add_run(std::move(c));
-    }
-    return multi;
+    return run_many_curves("SimulatedAnnealing::run_many", direction_, config_.seed, count,
+                           [this](std::uint64_t seed) { return run(seed); });
 }
 
 void HillClimbConfig::validate() const
@@ -281,9 +229,7 @@ void HillClimbConfig::validate() const
     if (patience == 0) throw std::invalid_argument("HillClimbConfig: patience must be >= 1");
     if (mutation_rate <= 0.0 || mutation_rate > 1.0)
         throw std::invalid_argument("HillClimbConfig: mutation_rate out of (0, 1]");
-    if (eval_workers == 0)
-        throw std::invalid_argument("HillClimbConfig: eval_workers must be >= 1");
-    fault.validate();
+    validate_eval("HillClimbConfig");
 }
 
 HillClimber::HillClimber(const ParameterSpace& space, HillClimbConfig config,
@@ -298,50 +244,17 @@ HillClimber::HillClimber(const ParameterSpace& space, HillClimbConfig config,
     check_engine_args(space_, eval_, hints_);
 }
 
-Curve HillClimber::run(std::uint64_t seed) const
+Curve HillClimber::run(std::uint64_t seed, EvalCounters* counters) const
 {
     Rng rng{seed};
-    FaultTolerantEvaluator<Evaluation> guard{eval_, config_.fault, config_.fault_penalty};
-    guard.set_instrumentation(config_.obs);
-    // Persistent store tier below the memo cache (see GaEngine::run_impl).
-    EvalStore* store = config_.store.get();
-    const std::uint64_t store_ns = config_.store_namespace;
-    std::atomic<std::size_t> store_hits{0};
-    std::atomic<std::size_t> store_misses{0};
-    CachingEvaluator evaluator{[&](const Genome& g) -> Evaluation {
-        if (store != nullptr) {
-            if (const std::optional<StoredResult> cached = store->lookup(store_ns, g)) {
-                if (const std::optional<Evaluation> e = stored_to_evaluation(*cached)) {
-                    store_hits.fetch_add(1, std::memory_order_relaxed);
-                    return *e;
-                }
-            }
-        }
-        EvalOutcome outcome;
-        const Evaluation e = guard.evaluate(g, &outcome);
-        if (store != nullptr) {
-            store_misses.fetch_add(1, std::memory_order_relaxed);
-            if (!outcome.penalized) store->insert(store_ns, g, stored_from_evaluation(e));
-        }
-        return e;
-    }};
-    BatchEvaluator batch_eval{config_.eval_workers};
-    batch_eval.set_instrumentation(config_.obs);
+    EvalPipeline<Evaluation> pipe{eval_, config_, config_.fault_penalty};
     const obs::Tracer& tracer = config_.obs.tracer;
-    if (obs::MetricsRegistry* reg = config_.obs.registry()) reg->counter("hc.runs").add();
-    obs::ProgressTracker* progress = config_.obs.progress_tracker();
-    if (progress != nullptr) progress->on_run_start("hc", config_.max_distinct_evals);
-    if (tracer.enabled()) {
-        obs::TraceEvent ev{"run_start"};
-        ev.add("engine", "hc")
-            .add("seed", static_cast<std::size_t>(seed))
-            .add("budget", config_.max_distinct_evals)
-            .add("workers", config_.eval_workers)
-            .add("confidence", obs::FieldValue{hints_.confidence()});
-        for (const auto& [key, value] : config_.obs.run_tags) ev.add(key, value);
-        tracer.emit(std::move(ev));
-    }
-    obs::ScopedTimer run_span{tracer, "hc.run"};
+    const RunScope scope{"hc", config_.obs, pipe, seed, config_.max_distinct_evals,
+                         [&](obs::TraceEvent& ev) {
+                             ev.add("budget", config_.max_distinct_evals)
+                                 .add("confidence", obs::FieldValue{hints_.confidence()});
+                         }};
+    obs::ProgressTracker* progress = scope.progress();
 
     // Lineage recording (DESIGN.md section 11): restarts mint new roots,
     // accepted candidates survive, the best-so-far holder is the winner.
@@ -354,12 +267,6 @@ Curve HillClimber::run(std::uint64_t seed) const
         prop_origins.resize(space_.size());
     }
 
-    const auto evaluate = [&](const Genome& g) {
-        Evaluation out;
-        batch_eval.evaluate(evaluator, std::span<const Genome>{&g, 1},
-                            std::span<Evaluation>{&out, 1});
-        return out;
-    };
     Curve curve{direction_};
 
     BreedContext ctx{space_, hints_, config_.mutation_rate};
@@ -370,7 +277,7 @@ Curve HillClimber::run(std::uint64_t seed) const
     Genome current = Genome::random(space_, rng);
     if (lineage.has_value())
         current_id = lineage->on_root(0, obs::BirthOp::init, space_.size());
-    Evaluation current_eval = evaluate(current);
+    Evaluation current_eval = pipe.evaluate(current);
     std::size_t stale = 0;
     std::size_t step = 0;
 
@@ -383,18 +290,18 @@ Curve HillClimber::run(std::uint64_t seed) const
                 lineage->on_improved(id);
                 best_id = id;
             }
-            curve.append(static_cast<double>(evaluator.distinct_evaluations()), best);
+            curve.append(static_cast<double>(pipe.distinct()), best);
         }
     };
     note(current_eval, current_id);
 
-    while (evaluator.distinct_evaluations() < config_.max_distinct_evals) {
+    while (pipe.distinct() < config_.max_distinct_evals) {
         ++step;
         if (stale >= config_.patience || !current_eval.feasible) {
             current = Genome::random(space_, rng);
             if (lineage.has_value())
                 current_id = lineage->on_root(step, obs::BirthOp::init, space_.size());
-            current_eval = evaluate(current);
+            current_eval = pipe.evaluate(current);
             note(current_eval, current_id);
             stale = 0;
             continue;
@@ -405,7 +312,7 @@ Curve HillClimber::run(std::uint64_t seed) const
         if (lineage.has_value())
             cand_id = lineage->on_child(current_id, obs::k_no_parent, false, step,
                                         prop_origins);
-        const Evaluation cand_eval = evaluate(candidate);
+        const Evaluation cand_eval = pipe.evaluate(candidate);
         if (cand_eval.feasible &&
             no_worse(cand_eval.value, current_eval.value, direction_)) {
             const bool strictly =
@@ -423,47 +330,18 @@ Curve HillClimber::run(std::uint64_t seed) const
             ++stale;
         }
         if (progress != nullptr) {
-            progress->on_units(evaluator.distinct_evaluations());
+            progress->on_units(pipe.distinct());
             if (have_best) progress->on_best(best);
         }
     }
-    if (lineage.has_value()) {
-        std::vector<std::uint64_t> winners;
-        if (have_best && best_id != obs::k_no_parent) winners.push_back(best_id);
-        lineage->finish(winners);
-    }
-    if (progress != nullptr) {
-        progress->on_units(evaluator.distinct_evaluations());
-        progress->on_run_end();
-    }
-    if (tracer.enabled()) {
-        obs::TraceEvent ev{"run_end"};
-        ev.add("engine", "hc")
-            .add("distinct_evals", evaluator.distinct_evaluations())
-            .add("total_calls", evaluator.total_calls())
-            .add("inflight_waits", evaluator.inflight_waits())
-            .add("feasible", obs::FieldValue{have_best})
-            .add("best", obs::FieldValue{have_best ? best : 0.0})
-            .add("eval_seconds", obs::FieldValue{batch_eval.eval_seconds()});
-        if (store != nullptr)
-            ev.add("store_hits", store_hits.load(std::memory_order_relaxed))
-                .add("store_misses", store_misses.load(std::memory_order_relaxed));
-        tracer.emit(std::move(ev));
-    }
+    finish_walk(scope, pipe, lineage, have_best, best, best_id, counters);
     return curve;
 }
 
 MultiRunCurve HillClimber::run_many(std::size_t count) const
 {
-    if (count == 0)
-        throw std::invalid_argument("HillClimber::run_many: count must be >= 1");
-    MultiRunCurve multi{direction_};
-    Rng seeder{config_.seed};
-    for (std::size_t i = 0; i < count; ++i) {
-        Curve c = run(seeder.next_u64());
-        if (!c.empty()) multi.add_run(std::move(c));
-    }
-    return multi;
+    return run_many_curves("HillClimber::run_many", direction_, config_.seed, count,
+                           [this](std::uint64_t seed) { return run(seed); });
 }
 
 }  // namespace nautilus

@@ -10,40 +10,25 @@
 // "guided SA" is a meaningful ablation of guided-GA's population mechanics.
 
 #include <cstdint>
-#include <memory>
 
-#include "core/eval_store.hpp"
-#include "core/evaluator.hpp"
-#include "core/fault.hpp"
+#include "core/eval_pipeline.hpp"
 #include "core/fitness.hpp"
 #include "core/hints.hpp"
 #include "core/operators.hpp"
 #include "core/run_stats.hpp"
-#include "obs/obs.hpp"
 
 namespace nautilus {
 
-struct AnnealingConfig {
+// Evaluation settings come from EvalPipelineConfig; the accept/reject walk
+// itself is sequential, so workers only fan out the temperature probes.
+struct AnnealingConfig : EvalPipelineConfig {
     std::size_t max_distinct_evals = 800;  // same budget axis as the GA benches
     double initial_temperature = 0.0;      // 0 = auto-calibrate from first samples
     double cooling = 0.97;                 // geometric cooling per accepted batch
     std::size_t steps_per_temperature = 10;
     double mutation_rate = 0.4;            // per-gene proposal probability
     std::uint64_t seed = 11;
-    // Threads for batched evaluations (temperature probes); the accept/
-    // reject walk itself is inherently sequential.  Results are identical
-    // for any worker count.
-    std::size_t eval_workers = 1;
-    // Tracing + metrics (off by default); does not affect the walk.
-    obs::Instrumentation obs;
-    // Fault tolerance (DESIGN.md section 8); shared semantics with GaConfig.
-    FaultPolicy fault;
-    Evaluation fault_penalty{false, 0.0};
-
-    // Cross-run persistent evaluation store; same placement and determinism
-    // contract as GaConfig::store.
-    std::shared_ptr<EvalStore> store;
-    std::uint64_t store_namespace = 0;
+    Evaluation fault_penalty{false, 0.0};  // see GaConfig::fault_penalty
 
     void validate() const;
 };
@@ -54,7 +39,8 @@ public:
                        Direction direction, EvalFn eval, HintSet hints);
 
     // One annealing run; the curve tracks best-so-far vs distinct evals.
-    Curve run(std::uint64_t seed) const;
+    // `counters`, when non-null, receives the run's evaluation accounting.
+    Curve run(std::uint64_t seed, EvalCounters* counters = nullptr) const;
     MultiRunCurve run_many(std::size_t count) const;
 
 private:
@@ -65,26 +51,16 @@ private:
     HintSet hints_;
 };
 
-struct HillClimbConfig {
+// Evaluation settings come from EvalPipelineConfig; the greedy walk
+// evaluates one candidate at a time.
+struct HillClimbConfig : EvalPipelineConfig {
     std::size_t max_distinct_evals = 800;
     // Restart from a random point after this many consecutive non-improving
     // proposals (escapes local optima the greedy walk cannot).
     std::size_t patience = 40;
     double mutation_rate = 0.3;
     std::uint64_t seed = 13;
-    // Threads for the shared evaluation pipeline; the greedy walk evaluates
-    // one candidate at a time, so this mainly standardizes accounting.
-    std::size_t eval_workers = 1;
-    // Tracing + metrics (off by default); does not affect the walk.
-    obs::Instrumentation obs;
-    // Fault tolerance (DESIGN.md section 8); shared semantics with GaConfig.
-    FaultPolicy fault;
-    Evaluation fault_penalty{false, 0.0};
-
-    // Cross-run persistent evaluation store; same placement and determinism
-    // contract as GaConfig::store.
-    std::shared_ptr<EvalStore> store;
-    std::uint64_t store_namespace = 0;
+    Evaluation fault_penalty{false, 0.0};  // see GaConfig::fault_penalty
 
     void validate() const;
 };
@@ -94,7 +70,8 @@ public:
     HillClimber(const ParameterSpace& space, HillClimbConfig config, Direction direction,
                 EvalFn eval, HintSet hints);
 
-    Curve run(std::uint64_t seed) const;
+    // Same contract as SimulatedAnnealing::run.
+    Curve run(std::uint64_t seed, EvalCounters* counters = nullptr) const;
     MultiRunCurve run_many(std::size_t count) const;
 
 private:

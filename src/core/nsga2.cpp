@@ -6,10 +6,9 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/batch_evaluator.hpp"
 #include "core/breed.hpp"
 #include "core/checkpoint.hpp"
-#include "core/evaluator.hpp"
+#include "core/eval_pipeline.hpp"
 
 namespace nautilus {
 
@@ -23,14 +22,8 @@ void MultiObjectiveConfig::validate() const
         throw std::invalid_argument("MultiObjectiveConfig: mutation_rate out of [0, 1]");
     if (crossover_rate < 0.0 || crossover_rate > 1.0)
         throw std::invalid_argument("MultiObjectiveConfig: crossover_rate out of [0, 1]");
-    if (eval_workers == 0)
-        throw std::invalid_argument("MultiObjectiveConfig: eval_workers must be >= 1");
-    fault.validate();
-    if (checkpoint_every == 0)
-        throw std::invalid_argument("MultiObjectiveConfig: checkpoint_every must be >= 1");
-    if (halt_at_generation != 0 && checkpoint_path.empty())
-        throw std::invalid_argument(
-            "MultiObjectiveConfig: halt_at_generation requires checkpoint_path");
+    validate_eval("MultiObjectiveConfig");
+    validate_checkpoint("MultiObjectiveConfig");
 }
 
 std::vector<std::vector<std::size_t>> non_dominated_sort(
@@ -156,64 +149,20 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
 {
     Rng rng{seed};
 
-    // Memoized evaluation with distinct counting (the paper's cost model),
-    // fanned out across the worker pool one wave at a time.  The fault guard
-    // sits below the cache (see core/fault.hpp); the multi-objective penalty
-    // is nullopt, so quarantined designs are simply infeasible.
-    using MultiValue = std::optional<std::vector<double>>;
-    FaultTolerantEvaluator<MultiValue> guard{
-        [this](const Genome& g) {
-            MultiValue values = eval_(g);
-            if (values && values->size() != directions_.size())
-                throw std::runtime_error("Nsga2Engine: objective arity mismatch");
-            return values;
-        },
-        config_.fault, MultiValue{}};
-    guard.set_instrumentation(config_.obs);
-    // Persistent store tier: answers memo misses before the fault guard (see
-    // GaEngine::run_impl).  Feasible records must carry one value per
-    // objective; anything else is treated as a miss and recomputed.
-    EvalStore* store = config_.store.get();
-    const std::uint64_t store_ns = config_.store_namespace;
-    std::atomic<std::size_t> store_hits{0};
-    std::atomic<std::size_t> store_misses{0};
-    BasicCachingEvaluator<MultiValue> evaluator{[&](const Genome& g) -> MultiValue {
-        if (store != nullptr) {
-            if (std::optional<StoredResult> cached = store->lookup(store_ns, g)) {
-                if (!cached->feasible && cached->values.empty()) {
-                    store_hits.fetch_add(1, std::memory_order_relaxed);
-                    return std::nullopt;
-                }
-                if (cached->feasible && cached->values.size() == directions_.size()) {
-                    store_hits.fetch_add(1, std::memory_order_relaxed);
-                    return MultiValue{std::move(cached->values)};
-                }
-            }
-        }
-        EvalOutcome outcome;
-        MultiValue values = guard.evaluate(g, &outcome);
-        if (store != nullptr) {
-            store_misses.fetch_add(1, std::memory_order_relaxed);
-            if (!outcome.penalized) {
-                StoredResult record;
-                record.feasible = values.has_value();
-                if (values) record.values = *values;
-                store->insert(store_ns, g, std::move(record));
-            }
-        }
+    // The objective arity is checked inside the fault guard, so a malformed
+    // result is a failed attempt (retried, then quarantined when tolerated).
+    const auto checked_eval = [this](const Genome& g) {
+        ObjectiveValues values = eval_(g);
+        if (values && values->size() != directions_.size())
+            throw std::runtime_error("Nsga2Engine: objective arity mismatch");
         return values;
-    }};
-    BatchEvaluator batch_eval{config_.eval_workers};
-    batch_eval.set_instrumentation(config_.obs);
+    };
+    EvalPipeline<ObjectiveValues> pipe{checked_eval, config_, ObjectiveValues{},
+                                       directions_.size()};
     const obs::Tracer& tracer = config_.obs.tracer;
     obs::Counter* m_generations = nullptr;
-    obs::Counter* m_checkpoints = nullptr;
-    if (obs::MetricsRegistry* reg = config_.obs.registry()) {
-        reg->counter("nsga2.runs").add();
+    if (obs::MetricsRegistry* reg = config_.obs.registry())
         m_generations = &reg->counter("nsga2.generations");
-        if (!config_.checkpoint_path.empty())
-            m_checkpoints = &reg->counter("checkpoint.writes");
-    }
 
     struct Member {
         Genome genome;
@@ -234,39 +183,20 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
         archive.reserve(restored->archive.size());
         for (std::size_t i = 0; i < restored->archive.size(); ++i)
             archive.push_back({restored->archive[i], restored->archive_values[i]});
-        BasicCachingEvaluator<MultiValue>::Snapshot snap;
-        snap.entries = restored->cache;
-        snap.distinct = restored->distinct;
-        snap.calls = restored->calls;
-        evaluator.restore(snap);
-        guard.restore(restored->quarantine, restored->fault);
+        pipe.restore(*restored);
     }
 
-    obs::ProgressTracker* progress = config_.obs.progress_tracker();
-    if (progress != nullptr)
-        progress->on_run_start("nsga2", config_.generations, start_gen);
-
-    if (tracer.enabled()) {
-        obs::TraceEvent ev{"run_start"};
-        ev.add("engine", "nsga2")
-            .add("seed", static_cast<std::size_t>(seed))
-            .add("population", config_.population_size)
+    const auto run_fields = [&](obs::TraceEvent& ev) {
+        ev.add("population", config_.population_size)
             .add("generations", config_.generations)
             .add("objectives", directions_.size())
-            .add("workers", config_.eval_workers)
             .add("confidence", obs::FieldValue{hints_.confidence()});
-        if (restored != nullptr) {
-            const FaultCounters fc = guard.counters();
-            ev.add("resumed", obs::FieldValue{true})
-                .add("start_generation", start_gen)
-                .add("distinct_at_start", evaluator.distinct_evaluations())
-                .add("attempts_at_start", std::size_t{fc.attempts})
-                .add("retries_at_start", std::size_t{fc.retries});
-        }
-        for (const auto& [key, value] : config_.obs.run_tags) ev.add(key, value);
-        tracer.emit(std::move(ev));
-    }
-    obs::ScopedTimer run_span{tracer, "nsga2.run"};
+    };
+    const std::optional<std::size_t> resumed_at =
+        restored != nullptr ? std::optional{start_gen} : std::nullopt;
+    const RunScope scope{"nsga2", config_.obs, pipe, seed, config_.generations,
+                         run_fields, resumed_at, &config_};
+    obs::ProgressTracker* progress = scope.progress();
 
     // Lineage recording (DESIGN.md section 11): pure observation, zero RNG
     // draws.  The NSGA-II checkpoint does not persist lineage, so resumed
@@ -291,38 +221,15 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
 
     const auto finish = [&](MultiObjectiveResult result) {
         if (lineage.has_value()) lineage->finish(lineage_winners);
-        if (progress != nullptr) progress->on_run_end();
-        result.distinct_evals = evaluator.distinct_evaluations();
-        result.total_eval_calls = evaluator.total_calls();
-        result.eval_seconds = batch_eval.eval_seconds();
-        result.eval_workers = batch_eval.workers();
+        pipe.counters().copy_to(result);
         result.start_generation = start_gen;
-        result.fault = guard.counters();
-        result.store_hits = store_hits.load(std::memory_order_relaxed);
-        result.store_misses = store_misses.load(std::memory_order_relaxed);
-        if (tracer.enabled()) {
-            obs::TraceEvent ev{"run_end"};
-            ev.add("engine", "nsga2")
-                .add("distinct_evals", result.distinct_evals)
-                .add("total_calls", result.total_eval_calls)
-                .add("inflight_waits", evaluator.inflight_waits())
-                .add("front_size", result.front.size())
-                .add("halted", obs::FieldValue{result.halted})
-                .add("eval_seconds", obs::FieldValue{result.eval_seconds})
-                .add("attempts", std::size_t{result.fault.attempts})
-                .add("retries", std::size_t{result.fault.retries})
-                .add("eval_failures", std::size_t{result.fault.failures})
-                .add("eval_timeouts", std::size_t{result.fault.timeouts})
-                .add("quarantined", std::size_t{result.fault.quarantined})
-                .add("penalties", std::size_t{result.fault.penalties});
-            if (store != nullptr)
-                ev.add("store_hits", result.store_hits)
-                    .add("store_misses", result.store_misses);
-            tracer.emit(std::move(ev));
-        }
+        scope.finish(pipe, [&](obs::TraceEvent& ev) {
+            ev.add("front_size", result.front.size())
+                .add("halted", obs::FieldValue{result.halted});
+        });
         return result;
     };
-    std::vector<MultiValue> wave_values;
+    std::vector<ObjectiveValues> wave_values;
 
     auto to_points = [&](const std::vector<Member>& pool) {
         std::vector<ObjectivePoint> pts;
@@ -348,23 +255,9 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
             cp.archive.push_back(m.genome);
             cp.archive_values.push_back(m.values);
         }
-        typename BasicCachingEvaluator<MultiValue>::Snapshot snap = evaluator.snapshot();
-        cp.cache = std::move(snap.entries);
-        cp.distinct = snap.distinct;
-        cp.calls = snap.calls;
-        cp.quarantine = guard.quarantined_keys();
-        cp.fault = guard.counters();
+        pipe.snapshot(cp);
         save_checkpoint(config_.checkpoint_path, cp);
-        if (m_checkpoints != nullptr) m_checkpoints->add();
-        if (tracer.enabled()) {
-            obs::TraceEvent ev{"checkpoint"};
-            ev.add("engine", "nsga2")
-                .add("path", config_.checkpoint_path.c_str())
-                .add("generation", gen)
-                .add("cache", cp.cache.size())
-                .add("quarantined", cp.quarantine.size());
-            tracer.emit(std::move(ev));
-        }
+        scope.checkpointed(gen, cp.cache.size(), cp.quarantine.size());
     };
 
     if (restored == nullptr) {
@@ -381,8 +274,8 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
             for (std::size_t i = 0; i < chunk; ++i)
                 wave.push_back(Genome::random(space_, rng));
             draws += chunk;
-            wave_values.assign(chunk, MultiValue{});
-            batch_eval.evaluate(evaluator, wave, std::span<MultiValue>{wave_values});
+            wave_values.assign(chunk, ObjectiveValues{});
+            pipe.evaluate(wave, std::span<ObjectiveValues>{wave_values});
             for (std::size_t i = 0; i < chunk; ++i) {
                 if (!wave_values[i]) continue;
                 population.push_back({wave[i], *wave_values[i]});
@@ -405,15 +298,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
 
     bool halted = false;
     for (std::size_t gen = start_gen; gen < config_.generations; ++gen) {
-        const bool halt_here =
-            (config_.halt_at_generation != 0 && gen == config_.halt_at_generation &&
-             gen > start_gen) ||
-            (config_.cancel != nullptr &&
-             config_.cancel->load(std::memory_order_acquire) && gen > start_gen);
-        if (!config_.checkpoint_path.empty() && gen > start_gen &&
-            (gen % config_.checkpoint_every == 0 || halt_here))
-            write_checkpoint(gen);
-        if (halt_here) {
+        if (scope.halts_at(gen, start_gen, write_checkpoint)) {
             halted = true;
             break;
         }
@@ -503,8 +388,8 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
                 brood.push_back(std::move(child_b));
             }
             born += brood.size();
-            wave_values.assign(brood.size(), MultiValue{});
-            batch_eval.evaluate(evaluator, brood, std::span<MultiValue>{wave_values});
+            wave_values.assign(brood.size(), ObjectiveValues{});
+            pipe.evaluate(brood, std::span<ObjectiveValues>{wave_values});
             for (std::size_t i = 0; i < brood.size(); ++i) {
                 if (offspring.size() >= config_.population_size) break;
                 if (wave_values[i]) {
@@ -565,7 +450,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
                 .add("archive", archive.size())
                 .add("fronts", pool_fronts.size())
                 .add("front0", pool_fronts.empty() ? std::size_t{0} : pool_fronts[0].size())
-                .add("distinct_total", evaluator.distinct_evaluations())
+                .add("distinct_total", pipe.distinct())
                 .add("genes_mutated", std::size_t{mut_stats.genes_mutated})
                 .add("bias_draws", std::size_t{mut_stats.bias_draws})
                 .add("target_draws", std::size_t{mut_stats.target_draws})

@@ -9,22 +9,18 @@
 // distinct-evaluation cost accounting, so an IP author's hints accelerate
 // frontier mapping the same way they accelerate single-metric queries.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "core/eval_store.hpp"
-#include "core/fault.hpp"
+#include "core/eval_pipeline.hpp"
 #include "core/genome.hpp"
 #include "core/hints.hpp"
 #include "core/operators.hpp"
 #include "core/pareto.hpp"
-#include "obs/obs.hpp"
 
 namespace nautilus {
 
@@ -32,42 +28,18 @@ struct Nsga2Checkpoint;  // core/checkpoint.hpp
 
 // Multi-objective evaluation: objective values in natural units, or nullopt
 // for infeasible configurations.  Must be deterministic per genome.
-using MultiEvalFn = std::function<std::optional<std::vector<double>>(const Genome&)>;
+using MultiEvalFn = std::function<ObjectiveValues(const Genome&)>;
 
-struct MultiObjectiveConfig {
+// Evaluation settings come from EvalPipelineConfig (the fault penalty is
+// always "infeasible": a quarantined design never joins the pool or the
+// archive); checkpoint and cancel settings from CheckpointConfig.
+struct MultiObjectiveConfig : EvalPipelineConfig, CheckpointConfig {
     std::size_t population_size = 24;
     std::size_t generations = 40;
     double mutation_rate = 0.1;
     double crossover_rate = 0.9;
     CrossoverKind crossover = CrossoverKind::single_point;
     std::uint64_t seed = 1;
-    // Threads evaluating each brood/initialization wave concurrently
-    // (1 = serial); results are identical for any worker count.
-    std::size_t eval_workers = 1;
-    // Tracing + metrics (off by default); does not affect search results.
-    obs::Instrumentation obs;
-
-    // Fault tolerance (DESIGN.md section 8).  The multi-objective penalty is
-    // always "infeasible" (nullopt): a quarantined design simply never joins
-    // the pool or the archive.
-    FaultPolicy fault;
-
-    // Cross-run persistent evaluation store (core/eval_store.hpp): consulted
-    // below the memo cache, above the fault guard; same determinism contract
-    // as GaConfig::store.  Records hold one value per objective (or
-    // feasible=false for infeasible points).
-    std::shared_ptr<EvalStore> store;
-    std::uint64_t store_namespace = 0;
-
-    // Cooperative cancellation; same semantics as GaConfig::cancel (halt at
-    // a generation boundary with a checkpoint, excluded from the config
-    // fingerprint).
-    std::shared_ptr<const std::atomic<bool>> cancel;
-
-    // Checkpoint/resume; same semantics as GaConfig (DESIGN.md section 8).
-    std::string checkpoint_path;
-    std::size_t checkpoint_every = 1;
-    std::size_t halt_at_generation = 0;  // 0 = never halt
 
     void validate() const;
 };

@@ -1,14 +1,12 @@
 #include "core/random_search.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <unordered_set>
 #include <vector>
 
-#include "core/batch_evaluator.hpp"
+#include "core/eval_pipeline.hpp"
 #include "core/genome.hpp"
 
 namespace nautilus {
@@ -17,9 +15,7 @@ void RandomSearchConfig::validate() const
 {
     if (max_distinct_evals == 0)
         throw std::invalid_argument("RandomSearchConfig: max_distinct_evals must be >= 1");
-    if (eval_workers == 0)
-        throw std::invalid_argument("RandomSearchConfig: eval_workers must be >= 1");
-    fault.validate();
+    validate_eval("RandomSearchConfig");
 }
 
 RandomSearch::RandomSearch(const ParameterSpace& space, RandomSearchConfig config,
@@ -31,49 +27,13 @@ RandomSearch::RandomSearch(const ParameterSpace& space, RandomSearchConfig confi
     config_.validate();
 }
 
-Curve RandomSearch::run(std::uint64_t seed) const
+Curve RandomSearch::run(std::uint64_t seed, EvalCounters* counters) const
 {
     Rng rng{seed};
-    FaultTolerantEvaluator<Evaluation> guard{eval_, config_.fault, config_.fault_penalty};
-    guard.set_instrumentation(config_.obs);
-    // Persistent store tier below the memo cache (see GaEngine::run_impl).
-    EvalStore* store = config_.store.get();
-    const std::uint64_t store_ns = config_.store_namespace;
-    std::atomic<std::size_t> store_hits{0};
-    std::atomic<std::size_t> store_misses{0};
-    CachingEvaluator evaluator{[&](const Genome& g) -> Evaluation {
-        if (store != nullptr) {
-            if (const std::optional<StoredResult> cached = store->lookup(store_ns, g)) {
-                if (const std::optional<Evaluation> e = stored_to_evaluation(*cached)) {
-                    store_hits.fetch_add(1, std::memory_order_relaxed);
-                    return *e;
-                }
-            }
-        }
-        EvalOutcome outcome;
-        const Evaluation e = guard.evaluate(g, &outcome);
-        if (store != nullptr) {
-            store_misses.fetch_add(1, std::memory_order_relaxed);
-            if (!outcome.penalized) store->insert(store_ns, g, stored_from_evaluation(e));
-        }
-        return e;
-    }};
-    BatchEvaluator batch_eval{config_.eval_workers};
-    batch_eval.set_instrumentation(config_.obs);
-    const obs::Tracer& tracer = config_.obs.tracer;
-    if (obs::MetricsRegistry* reg = config_.obs.registry()) reg->counter("random.runs").add();
-    obs::ProgressTracker* progress = config_.obs.progress_tracker();
-    if (progress != nullptr) progress->on_run_start("random", config_.max_distinct_evals);
-    if (tracer.enabled()) {
-        obs::TraceEvent ev{"run_start"};
-        ev.add("engine", "random")
-            .add("seed", static_cast<std::size_t>(seed))
-            .add("budget", config_.max_distinct_evals)
-            .add("workers", config_.eval_workers);
-        for (const auto& [key, value] : config_.obs.run_tags) ev.add(key, value);
-        tracer.emit(std::move(ev));
-    }
-    obs::ScopedTimer run_span{tracer, "random.run"};
+    EvalPipeline<Evaluation> pipe{eval_, config_, config_.fault_penalty};
+    const RunScope scope{"random", config_.obs, pipe, seed, config_.max_distinct_evals,
+                         [&](obs::TraceEvent& ev) { ev.add("budget", config_.max_distinct_evals); }};
+    obs::ProgressTracker* progress = scope.progress();
     Curve curve{direction_};
     double best = worst_value(direction_);
     bool have_best = false;
@@ -96,7 +56,7 @@ Curve RandomSearch::run(std::uint64_t seed) const
         for (std::size_t i = 0; i < chunk; ++i) wave.push_back(Genome::random(space_, rng));
         draws += chunk;
         evals.assign(chunk, Evaluation{});
-        batch_eval.evaluate(evaluator, wave, std::span<Evaluation>{evals});
+        pipe.evaluate(wave, std::span<Evaluation>{evals});
         for (std::size_t i = 0; i < chunk; ++i) {
             if (!seen.insert(wave[i]).second) continue;  // revisit, free
             ++distinct;
@@ -112,38 +72,19 @@ Curve RandomSearch::run(std::uint64_t seed) const
             if (have_best) progress->on_best(best);
         }
     }
-    if (progress != nullptr) progress->on_run_end();
-    if (tracer.enabled()) {
-        obs::TraceEvent ev{"run_end"};
-        ev.add("engine", "random")
-            .add("distinct_evals", evaluator.distinct_evaluations())
-            .add("total_calls", evaluator.total_calls())
-            .add("inflight_waits", evaluator.inflight_waits())
-            .add("draws", draws)
+    scope.finish(pipe, [&](obs::TraceEvent& ev) {
+        ev.add("draws", draws)
             .add("feasible", obs::FieldValue{have_best})
-            .add("best", obs::FieldValue{have_best ? best : 0.0})
-            .add("eval_seconds", obs::FieldValue{batch_eval.eval_seconds()})
-            .add("attempts", std::size_t{guard.counters().attempts})
-            .add("retries", std::size_t{guard.counters().retries})
-            .add("quarantined", std::size_t{guard.counters().quarantined});
-        if (store != nullptr)
-            ev.add("store_hits", store_hits.load(std::memory_order_relaxed))
-                .add("store_misses", store_misses.load(std::memory_order_relaxed));
-        tracer.emit(std::move(ev));
-    }
+            .add("best", obs::FieldValue{have_best ? best : 0.0});
+    });
+    if (counters != nullptr) *counters = pipe.counters();
     return curve;
 }
 
 MultiRunCurve RandomSearch::run_many(std::size_t count) const
 {
-    if (count == 0) throw std::invalid_argument("RandomSearch::run_many: count must be >= 1");
-    MultiRunCurve multi{direction_};
-    Rng seeder{config_.seed};
-    for (std::size_t i = 0; i < count; ++i) {
-        Curve c = run(seeder.next_u64());
-        if (!c.empty()) multi.add_run(std::move(c));
-    }
-    return multi;
+    return run_many_curves("RandomSearch::run_many", direction_, config_.seed, count,
+                           [this](std::uint64_t seed) { return run(seed); });
 }
 
 double RandomSearch::expected_draws(double hit_probability)

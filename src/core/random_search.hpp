@@ -8,34 +8,19 @@
 // the same experiment harness.
 
 #include <cstdint>
-#include <memory>
 
-#include "core/eval_store.hpp"
-#include "core/evaluator.hpp"
-#include "core/fault.hpp"
+#include "core/eval_pipeline.hpp"
 #include "core/fitness.hpp"
 #include "core/parameter.hpp"
 #include "core/run_stats.hpp"
-#include "obs/obs.hpp"
 
 namespace nautilus {
 
-struct RandomSearchConfig {
+// Evaluation settings come from EvalPipelineConfig.
+struct RandomSearchConfig : EvalPipelineConfig {
     std::size_t max_distinct_evals = 800;
     std::uint64_t seed = 7;
-    // Threads evaluating each wave of draws concurrently (1 = serial).  The
-    // draw sequence and result curve are identical for any worker count.
-    std::size_t eval_workers = 1;
-    // Tracing + metrics (off by default); does not affect the draw sequence.
-    obs::Instrumentation obs;
-    // Fault tolerance (DESIGN.md section 8); shared semantics with GaConfig.
-    FaultPolicy fault;
-    Evaluation fault_penalty{false, 0.0};
-
-    // Cross-run persistent evaluation store; same placement and determinism
-    // contract as GaConfig::store.
-    std::shared_ptr<EvalStore> store;
-    std::uint64_t store_namespace = 0;
+    Evaluation fault_penalty{false, 0.0};  // see GaConfig::fault_penalty
 
     void validate() const;  // throws std::invalid_argument on bad settings
 };
@@ -46,7 +31,8 @@ public:
                  EvalFn eval);
 
     // One run: draw uniformly until the distinct-evaluation budget is spent.
-    Curve run(std::uint64_t seed) const;
+    // `counters`, when non-null, receives the run's evaluation accounting.
+    Curve run(std::uint64_t seed, EvalCounters* counters = nullptr) const;
 
     MultiRunCurve run_many(std::size_t count) const;
 

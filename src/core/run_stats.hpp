@@ -8,10 +8,14 @@
 // evaluations to reach quality X" queries (the paper's convergence numbers).
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/fitness.hpp"
+#include "core/rng.hpp"
 
 namespace nautilus {
 
@@ -96,6 +100,24 @@ private:
     Direction dir_;
     std::vector<Curve> runs_;
 };
+
+// `count` runs seeded from `seed` (one draw per run), collected into one
+// MultiRunCurve.  `run(seed)` returns the run's Curve; empty curves (no
+// feasible design found) are skipped.  Throws std::invalid_argument naming
+// `owner` when count is 0.
+template <typename RunFn>
+MultiRunCurve run_many_curves(const char* owner, Direction direction, std::uint64_t seed,
+                              std::size_t count, RunFn run)
+{
+    if (count == 0) throw std::invalid_argument(std::string{owner} + ": count must be >= 1");
+    MultiRunCurve multi{direction};
+    Rng seeder{seed};
+    for (std::size_t i = 0; i < count; ++i) {
+        Curve c = run(seeder.next_u64());
+        if (!c.empty()) multi.add_run(std::move(c));
+    }
+    return multi;
+}
 
 // Ratio of evaluation costs "baseline / guided" to reach `threshold`; the
 // paper's headline speedup numbers.  Returns nullopt when either side never

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "core/eval_pipeline.hpp"
 #include "core/ga.hpp"
 #include "core/local_search.hpp"
 #include "core/nautilus.hpp"
@@ -87,13 +88,6 @@ std::uint64_t store_namespace(const JobSpec& spec)
     std::string context = spec.ip + "/" + spec.metric;
     if (spec.engine == "nsga2") context += "+" + spec.metric2;
     return EvalStore::namespace_key(context);
-}
-
-void absorb_curve(JobOutcome& out, const Curve& curve)
-{
-    out.feasible = !curve.empty();
-    if (out.feasible) out.best = curve.final_best();
-    out.distinct_evals = static_cast<std::size_t>(curve.final_evals());
 }
 
 JobOutcome run_ga(const ip::IpGenerator& generator, const JobSpec& spec,
@@ -201,48 +195,41 @@ JobOutcome run_budgeted(const ip::IpGenerator& generator, const JobSpec& spec,
     const Metric metric = metric_or_throw(generator, spec.metric);
     const Direction direction = direction_of(spec);
     const EvalFn eval = generator.metric_eval(metric);
+    const auto configure = [&](auto cfg) {
+        cfg.max_distinct_evals = spec.evals;
+        cfg.seed = spec.seed;
+        cfg.eval_workers = workers;
+        cfg.obs = inst;
+        if (inputs.store) {
+            cfg.store = inputs.store;
+            cfg.store_namespace = store_namespace(spec);
+        }
+        return cfg;
+    };
+
+    EvalCounters c;
+    const Curve curve = [&]() -> Curve {
+        const ParameterSpace& space = generator.space();
+        if (spec.engine == "random")
+            return RandomSearch{space, configure(RandomSearchConfig{}), direction, eval}.run(
+                spec.seed, &c);
+        const HintSet hints = hints_for(generator, spec, metric, direction);
+        if (spec.engine == "sa")
+            return SimulatedAnnealing{space, configure(AnnealingConfig{}), direction, eval,
+                                      hints}
+                .run(spec.seed, &c);
+        return HillClimber{space, configure(HillClimbConfig{}), direction, eval, hints}.run(
+            spec.seed, &c);
+    }();
 
     JobOutcome out;
-    if (spec.engine == "random") {
-        RandomSearchConfig rs;
-        rs.max_distinct_evals = spec.evals;
-        rs.seed = spec.seed;
-        rs.eval_workers = workers;
-        rs.obs = inst;
-        if (inputs.store) {
-            rs.store = inputs.store;
-            rs.store_namespace = store_namespace(spec);
-        }
-        absorb_curve(out, RandomSearch{generator.space(), rs, direction, eval}.run(spec.seed));
-    }
-    else if (spec.engine == "sa") {
-        AnnealingConfig sa;
-        sa.max_distinct_evals = spec.evals;
-        sa.seed = spec.seed;
-        sa.eval_workers = workers;
-        sa.obs = inst;
-        if (inputs.store) {
-            sa.store = inputs.store;
-            sa.store_namespace = store_namespace(spec);
-        }
-        absorb_curve(out, SimulatedAnnealing{generator.space(), sa, direction, eval,
-                                             hints_for(generator, spec, metric, direction)}
-                              .run(spec.seed));
-    }
-    else {
-        HillClimbConfig hc;
-        hc.max_distinct_evals = spec.evals;
-        hc.seed = spec.seed;
-        hc.eval_workers = workers;
-        hc.obs = inst;
-        if (inputs.store) {
-            hc.store = inputs.store;
-            hc.store_namespace = store_namespace(spec);
-        }
-        absorb_curve(out, HillClimber{generator.space(), hc, direction, eval,
-                                      hints_for(generator, spec, metric, direction)}
-                              .run(spec.seed));
-    }
+    out.feasible = !curve.empty();
+    if (out.feasible) out.best = curve.final_best();
+    out.distinct_evals = c.distinct;
+    out.total_eval_calls = c.calls;
+    out.store_hits = c.store_hits;
+    out.store_misses = c.store_misses;
+    out.retries = c.fault.retries;
     return out;
 }
 
@@ -280,7 +267,6 @@ JobOutcome run_job(const JobSpec& spec, const JobRunInputs& inputs)
     // `trace_inspect --check`); queue wait comes from the scheduler.  Pure
     // observation: zero RNG, so determinism gates are untouched.
     if (inputs.job_id != 0 && inst.tracer.enabled()) {
-        const bool evolutionary = spec.engine == "ga" || spec.engine == "nsga2";
         obs::TraceEvent ev{"job_summary"};
         ev.add("job_id", obs::FieldValue{inputs.job_id});
         if (inputs.request_id != 0)
@@ -292,9 +278,9 @@ JobOutcome run_job(const JobSpec& spec, const JobRunInputs& inputs)
             .add("halted", obs::FieldValue{out.halted})
             .add("distinct_evals", out.distinct_evals)
             .add("fresh_evals", out.distinct_evals - std::min(out.store_hits,
-                                                              out.distinct_evals));
-        if (evolutionary)
-            ev.add("store_hits", out.store_hits).add("retries", out.retries);
+                                                              out.distinct_evals))
+            .add("store_hits", out.store_hits)
+            .add("retries", out.retries);
         inst.tracer.emit(std::move(ev));
     }
     return out;

@@ -65,11 +65,11 @@ struct JobOutcome {
                                // track values, not genomes)
     std::vector<FrontEntry> front;  // nsga2 only
     std::size_t distinct_evals = 0;
-    std::size_t total_eval_calls = 0;  // 0 for the curve engines
+    std::size_t total_eval_calls = 0;
     std::size_t store_hits = 0;
     std::size_t store_misses = 0;
     std::size_t start_generation = 0;  // nonzero when resumed from a checkpoint
-    std::size_t retries = 0;           // fault-guard retries (ga/nsga2 only)
+    std::size_t retries = 0;           // fault-guard retries
 };
 
 // Run one job to completion or to a cancel/halt boundary.  Throws on

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/eval_pipeline.hpp"
 #include "core/ga.hpp"
 
 namespace nautilus {
@@ -291,9 +292,10 @@ TEST(EvalStore, ConcurrentReadersWithSingleWriter)
 
 TEST(EvalStoreConversions, ArityMismatchReadsAsMiss)
 {
-    EXPECT_FALSE(stored_to_evaluation(StoredResult{true, {}}).has_value());
-    EXPECT_FALSE(stored_to_evaluation(StoredResult{true, {1.0, 2.0}}).has_value());
-    const auto e = stored_to_evaluation(StoredResult{true, {3.5}});
+    using Codec = StoreCodec<Evaluation>;
+    EXPECT_FALSE(Codec::decode(StoredResult{true, {}}, 1).has_value());
+    EXPECT_FALSE(Codec::decode(StoredResult{true, {1.0, 2.0}}, 1).has_value());
+    const auto e = Codec::decode(StoredResult{true, {3.5}}, 1);
     ASSERT_TRUE(e.has_value());
     EXPECT_TRUE(e->feasible);
     EXPECT_EQ(e->value, 3.5);
