@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/eval_pipeline.hpp"
 #include "core/ga.hpp"
@@ -62,10 +64,9 @@ HintSet hints_for(const ip::IpGenerator& generator, const JobSpec& spec, Metric 
 
 obs::Instrumentation instrumentation_for(const JobRunInputs& inputs)
 {
-    obs::Instrumentation inst;
+    obs::Instrumentation inst = inputs.obs;
     if (!inputs.trace_path.empty())
         inst.tracer = obs::Tracer{std::make_shared<obs::JsonlFileSink>(inputs.trace_path)};
-    inst.progress = inputs.progress;
     // Server jobs tag run_start with their identity so one grep on a
     // request id joins the trace against the access and server logs.
     if (inputs.job_id != 0) {
@@ -76,13 +77,14 @@ obs::Instrumentation instrumentation_for(const JobRunInputs& inputs)
     return inst;
 }
 
-bool checkpoint_exists(const std::string& path)
+bool injects_faults(const FaultInjectionConfig& c)
 {
-    return !path.empty() && std::ifstream{path}.good();
+    return c.fail_rate > 0.0 || c.hang_rate > 0.0 || c.flaky_value_rate > 0.0 ||
+           c.fail_on_nth_call != 0;
 }
 
-// The store namespace is derived from ip + metric(s) exactly like the
-// single-run CLI, so server jobs and standalone runs share records.
+// The store namespace is derived from ip + metric(s), so server jobs,
+// `--job` runs and flag-mode runs of one query share records.
 std::uint64_t store_namespace(const JobSpec& spec)
 {
     std::string context = spec.ip + "/" + spec.metric;
@@ -90,57 +92,100 @@ std::uint64_t store_namespace(const JobSpec& spec)
     return EvalStore::namespace_key(context);
 }
 
-JobOutcome run_ga(const ip::IpGenerator& generator, const JobSpec& spec,
-                  const JobRunInputs& inputs, std::size_t workers,
-                  const obs::Instrumentation& inst)
-{
-    const Metric metric = metric_or_throw(generator, spec.metric);
-    const Direction direction = direction_of(spec);
+// One run's fixed inputs, and the settings they give every engine config.
+struct RunContext {
+    const ip::IpGenerator& generator;
+    const JobSpec& spec;
+    const JobRunInputs& inputs;
+    std::size_t workers;
+    obs::Instrumentation inst;
 
-    GaConfig ga;
-    ga.generations = spec.generations;
-    if (spec.population != 0) ga.population_size = spec.population;
-    ga.seed = spec.seed;
-    ga.eval_workers = workers;
-    ga.obs = inst;
-    ga.cancel = inputs.cancel;
-    ga.checkpoint_path = inputs.checkpoint_path;
-    ga.halt_at_generation = inputs.halt_at_generation;
-    if (inputs.store) {
-        ga.store = inputs.store;
-        ga.store_namespace = store_namespace(spec);
+    template <typename Config>
+    Config configure(Config cfg) const
+    {
+        cfg.seed = spec.seed;
+        cfg.eval_workers = workers;
+        cfg.obs = inst;
+        cfg.fault = inputs.fault;
+        if (inputs.store) {
+            cfg.store = inputs.store;
+            cfg.store_namespace = store_namespace(spec);
+        }
+        if constexpr (std::is_base_of_v<CheckpointConfig, Config>) {
+            cfg.generations = spec.generations;
+            if (spec.population != 0) cfg.population_size = spec.population;
+            cfg.cancel = inputs.cancel;
+            cfg.checkpoint_path = inputs.checkpoint_path;
+            cfg.checkpoint_every = inputs.checkpoint_every;
+            cfg.halt_at_generation = inputs.halt_at_generation;
+        }
+        else {
+            cfg.max_distinct_evals = spec.evals;
+        }
+        return cfg;
     }
 
-    const GaEngine engine{generator.space(), ga, direction,
-                          generator.metric_eval(metric),
-                          hints_for(generator, spec, metric, direction)};
-    const RunResult r = checkpoint_exists(inputs.checkpoint_path)
-                            ? engine.resume(inputs.checkpoint_path)
-                            : engine.run();
+    // Resumes from an existing checkpoint, else starts fresh.
+    template <typename Engine>
+    auto run_or_resume(const Engine& engine) const
+    {
+        const std::string& path = inputs.checkpoint_path;
+        return !path.empty() && std::ifstream{path}.good() ? engine.resume(path) : engine.run();
+    }
 
+    // The metric's evaluation function, behind the seeded fault injector
+    // when `inputs.chaos` asks for one; `chaos` keeps it alive for the run.
+    EvalFn eval(Metric metric, std::optional<FaultInjectingEvaluator>& chaos) const
+    {
+        EvalFn fn = generator.metric_eval(metric);
+        if (!injects_faults(inputs.chaos)) return fn;
+        chaos.emplace(std::move(fn), inputs.chaos);
+        return chaos->as_eval_fn();
+    }
+};
+
+// The accounting a GA or NSGA-II result shares.
+template <typename Result>
+JobOutcome generational_outcome(const Result& r)
+{
     JobOutcome out;
     out.halted = r.halted;
-    out.feasible = r.best_eval.feasible;
-    if (out.feasible) {
-        out.best = r.best_eval.value;
-        out.best_genome = r.best_genome.to_string(generator.space());
-    }
     out.distinct_evals = r.distinct_evals;
     out.total_eval_calls = r.total_eval_calls;
     out.store_hits = r.store_hits;
     out.store_misses = r.store_misses;
     out.start_generation = r.start_generation;
-    out.retries = r.fault.retries;
+    out.fault = r.fault;
     return out;
 }
 
-JobOutcome run_nsga2(const ip::IpGenerator& generator, const JobSpec& spec,
-                     const JobRunInputs& inputs, std::size_t workers,
-                     const obs::Instrumentation& inst)
+JobOutcome run_ga(const RunContext& ctx)
 {
-    const Metric first = metric_or_throw(generator, spec.metric);
-    const Metric second = metric_or_throw(generator, spec.metric2);
-    const Direction direction = direction_of(spec);
+    const Metric metric = metric_or_throw(ctx.generator, ctx.spec.metric);
+    const Direction direction = direction_of(ctx.spec);
+    std::optional<FaultInjectingEvaluator> chaos;
+    const GaEngine engine{ctx.generator.space(), ctx.configure(GaConfig{}), direction,
+                          ctx.eval(metric, chaos),
+                          hints_for(ctx.generator, ctx.spec, metric, direction)};
+    const RunResult r = ctx.run_or_resume(engine);
+
+    JobOutcome out = generational_outcome(r);
+    out.feasible = r.best_eval.feasible;
+    if (out.feasible) {
+        out.best = r.best_eval.value;
+        out.best_genome = r.best_genome.to_string(ctx.generator.space());
+    }
+    return out;
+}
+
+JobOutcome run_nsga2(const RunContext& ctx)
+{
+    const ip::IpGenerator& generator = ctx.generator;
+    const Metric first = metric_or_throw(generator, ctx.spec.metric);
+    const Metric second = metric_or_throw(generator, ctx.spec.metric2);
+    if (injects_faults(ctx.inputs.chaos))
+        throw std::invalid_argument("fault injection does not apply to nsga2 jobs");
+    const Direction direction = direction_of(ctx.spec);
     const std::vector<Direction> dirs{direction, ip::metric_default_direction(second)};
 
     const MultiEvalFn eval = [&generator, first,
@@ -153,73 +198,39 @@ JobOutcome run_nsga2(const ip::IpGenerator& generator, const JobSpec& spec,
         return std::vector<double>{*a, *b};
     };
 
-    MultiObjectiveConfig mo;
-    mo.generations = spec.generations;
-    if (spec.population != 0) mo.population_size = spec.population;
-    mo.seed = spec.seed;
-    mo.eval_workers = workers;
-    mo.obs = inst;
-    mo.cancel = inputs.cancel;
-    mo.checkpoint_path = inputs.checkpoint_path;
-    mo.halt_at_generation = inputs.halt_at_generation;
-    if (inputs.store) {
-        mo.store = inputs.store;
-        mo.store_namespace = store_namespace(spec);
-    }
+    const Nsga2Engine engine{generator.space(), ctx.configure(MultiObjectiveConfig{}), dirs,
+                             eval, hints_for(generator, ctx.spec, first, direction)};
+    const MultiObjectiveResult r = ctx.run_or_resume(engine);
 
-    const Nsga2Engine engine{generator.space(), mo, dirs, eval,
-                             hints_for(generator, spec, first, direction)};
-    const MultiObjectiveResult r = checkpoint_exists(inputs.checkpoint_path)
-                                       ? engine.resume(inputs.checkpoint_path)
-                                       : engine.run();
-
-    JobOutcome out;
-    out.halted = r.halted;
+    JobOutcome out = generational_outcome(r);
     out.feasible = !r.front.empty();
     out.front.reserve(r.front.size());
     for (const FrontPoint& p : r.front)
         out.front.push_back({p.genome.to_string(generator.space()), p.values});
-    out.distinct_evals = r.distinct_evals;
-    out.total_eval_calls = r.total_eval_calls;
-    out.store_hits = r.store_hits;
-    out.store_misses = r.store_misses;
-    out.start_generation = r.start_generation;
-    out.retries = r.fault.retries;
     return out;
 }
 
-JobOutcome run_budgeted(const ip::IpGenerator& generator, const JobSpec& spec,
-                        const JobRunInputs& inputs, std::size_t workers,
-                        const obs::Instrumentation& inst)
+JobOutcome run_budgeted(const RunContext& ctx)
 {
-    const Metric metric = metric_or_throw(generator, spec.metric);
+    const JobSpec& spec = ctx.spec;
+    const Metric metric = metric_or_throw(ctx.generator, spec.metric);
     const Direction direction = direction_of(spec);
-    const EvalFn eval = generator.metric_eval(metric);
-    const auto configure = [&](auto cfg) {
-        cfg.max_distinct_evals = spec.evals;
-        cfg.seed = spec.seed;
-        cfg.eval_workers = workers;
-        cfg.obs = inst;
-        if (inputs.store) {
-            cfg.store = inputs.store;
-            cfg.store_namespace = store_namespace(spec);
-        }
-        return cfg;
-    };
+    std::optional<FaultInjectingEvaluator> chaos;
+    const EvalFn eval = ctx.eval(metric, chaos);
 
     EvalCounters c;
     const Curve curve = [&]() -> Curve {
-        const ParameterSpace& space = generator.space();
+        const ParameterSpace& space = ctx.generator.space();
         if (spec.engine == "random")
-            return RandomSearch{space, configure(RandomSearchConfig{}), direction, eval}.run(
-                spec.seed, &c);
-        const HintSet hints = hints_for(generator, spec, metric, direction);
+            return RandomSearch{space, ctx.configure(RandomSearchConfig{}), direction, eval}
+                .run(spec.seed, &c);
+        const HintSet hints = hints_for(ctx.generator, spec, metric, direction);
         if (spec.engine == "sa")
-            return SimulatedAnnealing{space, configure(AnnealingConfig{}), direction, eval,
+            return SimulatedAnnealing{space, ctx.configure(AnnealingConfig{}), direction, eval,
                                       hints}
                 .run(spec.seed, &c);
-        return HillClimber{space, configure(HillClimbConfig{}), direction, eval, hints}.run(
-            spec.seed, &c);
+        return HillClimber{space, ctx.configure(HillClimbConfig{}), direction, eval, hints}
+            .run(spec.seed, &c);
     }();
 
     JobOutcome out;
@@ -229,7 +240,7 @@ JobOutcome run_budgeted(const ip::IpGenerator& generator, const JobSpec& spec,
     out.total_eval_calls = c.calls;
     out.store_hits = c.store_hits;
     out.store_misses = c.store_misses;
-    out.retries = c.fault.retries;
+    out.fault = c.fault;
     return out;
 }
 
@@ -249,16 +260,17 @@ JobOutcome run_job(const JobSpec& spec, const JobRunInputs& inputs)
 {
     const std::unique_ptr<ip::IpGenerator> generator = make_generator(spec.ip);
     const std::size_t workers = inputs.workers != 0 ? inputs.workers : spec.workers;
-    const obs::Instrumentation inst = instrumentation_for(inputs);
+    const RunContext ctx{*generator, spec, inputs, workers, instrumentation_for(inputs)};
+    const obs::Instrumentation& inst = ctx.inst;
 
     const auto started = std::chrono::steady_clock::now();
     JobOutcome out;
     if (spec.engine == "ga")
-        out = run_ga(*generator, spec, inputs, workers, inst);
+        out = run_ga(ctx);
     else if (spec.engine == "nsga2")
-        out = run_nsga2(*generator, spec, inputs, workers, inst);
+        out = run_nsga2(ctx);
     else
-        out = run_budgeted(*generator, spec, inputs, workers, inst);
+        out = run_budgeted(ctx);
     const double run_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
 
@@ -280,7 +292,7 @@ JobOutcome run_job(const JobSpec& spec, const JobRunInputs& inputs)
             .add("fresh_evals", out.distinct_evals - std::min(out.store_hits,
                                                               out.distinct_evals))
             .add("store_hits", out.store_hits)
-            .add("retries", out.retries);
+            .add("retries", out.fault.retries);
         inst.tracer.emit(std::move(ev));
     }
     return out;

@@ -16,8 +16,10 @@
 #include <vector>
 
 #include "core/eval_store.hpp"
+#include "core/fault.hpp"
+#include "core/fault_injection.hpp"
 #include "ip/ip_generator.hpp"
-#include "obs/progress.hpp"
+#include "obs/obs.hpp"
 #include "serve/job_spec.hpp"
 
 namespace nautilus::serve {
@@ -38,11 +40,18 @@ struct JobRunInputs {
     std::string checkpoint_path;       // ga/nsga2 checkpoints; empty = none.
                                        // When the file already exists the run
                                        // resumes from it (bit-exactly).
+    std::size_t checkpoint_every = 1;  // generations between checkpoints
     std::shared_ptr<const std::atomic<bool>> cancel;  // cooperative cancel token
-    std::shared_ptr<obs::ProgressTracker> progress;   // live /jobs/<id> progress
+    // Metrics, live progress and lineage handles.  run_job adds the tracer
+    // for trace_path and the job's run tags.
+    obs::Instrumentation obs;
     // Test hook mirroring `--die-at-gen`: halt with a checkpoint at this
     // generation (ga/nsga2 only; 0 = never).
     std::size_t halt_at_generation = 0;
+    FaultPolicy fault;  // retries, backoff, watchdog timeout, quarantine
+    // Seeded fault injection (`--chaos-*`); all rates 0 = off.  It wraps the
+    // single-metric engines' evaluation only: nsga2 rejects it.
+    FaultInjectionConfig chaos;
     // Telemetry identity (0 = standalone run).  A nonzero job_id tags the
     // trace's run_start with job_id/request_id and emits a closing
     // `job_summary` accounting event; standalone runs leave both at 0 and
@@ -69,7 +78,7 @@ struct JobOutcome {
     std::size_t store_hits = 0;
     std::size_t store_misses = 0;
     std::size_t start_generation = 0;  // nonzero when resumed from a checkpoint
-    std::size_t retries = 0;           // fault-guard retries
+    FaultCounters fault;               // fault-guard attempts, retries, ...
 };
 
 // Run one job to completion or to a cancel/halt boundary.  Throws on

@@ -196,6 +196,13 @@ void append_uint(std::string& out, std::uint64_t v)
 
 }  // namespace
 
+const char* default_metric(const std::string& ip)
+{
+    if (ip == "fft") return "area_luts";
+    if (ip == "network") return "bisection_gbps";
+    return "freq_mhz";
+}
+
 JobSpec parse_job_spec(std::string_view json)
 {
     std::map<std::string, RawValue> fields = parse_object(json);
@@ -213,10 +220,7 @@ JobSpec parse_job_spec(std::string_view json)
     if (spec.ip != "router" && spec.ip != "fft" && spec.ip != "network")
         fail("unknown ip '" + spec.ip + "' (expected router, fft, network)");
 
-    const std::string default_metric = spec.ip == "fft"       ? "area_luts"
-                                       : spec.ip == "network" ? "bisection_gbps"
-                                                              : "freq_mhz";
-    spec.metric = take_string(fields, "metric", default_metric);
+    spec.metric = take_string(fields, "metric", default_metric(spec.ip));
     validate_metric_name("metric", spec.metric);
 
     spec.metric2 = take_string(fields, "metric2", "");

@@ -41,6 +41,9 @@ struct JobSpec {
     bool evolutionary() const { return engine == "ga" || engine == "nsga2"; }
 };
 
+// The metric a query on `ip` optimizes when it names none.
+const char* default_metric(const std::string& ip);
+
 // Parse and validate one spec.  Throws std::invalid_argument with an
 // actionable message on malformed JSON, unknown fields/engines/metrics,
 // missing budgets or non-positive worker counts.  Defaults (metric,

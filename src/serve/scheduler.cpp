@@ -204,7 +204,7 @@ void JobScheduler::job_main(Job& job)
     if (job.spec.evolutionary())
         inputs.checkpoint_path = checkpoint_file(config_.jobs_dir, job.spec);
     inputs.cancel = job.cancel;
-    inputs.progress = job.progress;
+    inputs.obs.progress = job.progress;
     inputs.job_id = job.id;
     inputs.request_id = job.request_id;
     inputs.queue_wait_seconds = job.queue_wait_seconds;
@@ -269,7 +269,7 @@ void JobScheduler::finish(Job& job, JobState state, std::string error)
         config_.metrics->counter("job.fresh_evals")
             .add(r.distinct_evals - std::min(r.store_hits, r.distinct_evals));
         config_.metrics->counter("job.store_hits").add(r.store_hits);
-        config_.metrics->counter("job.retries").add(r.retries);
+        config_.metrics->counter("job.retries").add(r.fault.retries);
     }
     log_job(state == JobState::failed ? obs::LogLevel::error : obs::LogLevel::info, job,
             "finished", job.error);
@@ -372,7 +372,7 @@ std::string JobScheduler::status_json_locked(const Job& job) const
                    std::to_string(r.distinct_evals -
                                   std::min(r.store_hits, r.distinct_evals));
             out += ",\"store_hits\":" + std::to_string(r.store_hits);
-            out += ",\"retries\":" + std::to_string(r.retries);
+            out += ",\"retries\":" + std::to_string(r.fault.retries);
         }
         out += "}";
     }

@@ -3,28 +3,25 @@
 //   nautilus_cli --ip fft --metric area_luts --direction min
 //                --guidance strong --runs 20 --generations 80
 //
-// Options:
+// Modes, first match wins: --job, --serve-jobs, characterization, flag
+// mode, else the multi-run experiment.  A flag the chosen mode would
+// ignore exits 2 with a diagnostic.
+//
+// Query options:
 //   --ip {router,fft,network}   IP generator to explore (default router)
 //   --metric NAME               metric to optimize (default per IP)
 //   --direction {min,max}       optimization direction (default per metric)
 //   --guidance {none,weak,strong,estimated}
 //                               hint provenance: author hints at the given
 //                               confidence, or non-expert estimation from
-//                               samples (default none = baseline GA)
-//   --runs N                    runs to average (default 10)
+//                               samples, multi-run mode only (default
+//                               none = baseline GA)
 //   --generations N             GA generations (default 80)
-//   --population N              GA population (default 10)
+//   --population N              population (default 0 = engine default:
+//                               10 for the GA, 24 for --pareto)
 //   --seed N                    experiment seed (default 2015)
 //   --workers N                 threads for population evaluation (default 1;
 //                               results are identical for any worker count)
-//   --samples N                 estimation samples for --guidance estimated
-//   --sensitivity               print the dataset sensitivity report instead
-//                               of searching (enumerates the space)
-//   --save-dataset PATH         characterize the space and write CSV
-//   --dataset PATH              serve evaluations from a saved CSV dataset
-//   --pareto METRIC2            map the METRIC x METRIC2 Pareto front with
-//                               the multi-objective engine instead of a
-//                               single-metric query
 //   --trace PATH                write a structured JSONL trace of the run
 //                               (inspect with trace_inspect; includes birth
 //                               and lineage_summary events, see lineage_report)
@@ -47,20 +44,30 @@
 //   --store-max-bytes N         evict oldest store records past N bytes
 //                               (default 0 = unlimited)
 //
-// Fault tolerance / checkpointing (single-run GA mode; any of these flags
-// switches from the multi-run experiment harness to one GA run):
-//   --checkpoint PATH           write run state to PATH every
+// Multi-run experiment mode only (baseline vs guided GA, averaged):
+//   --runs N                    runs to average (default 10)
+//   --samples N                 estimation samples for --guidance estimated
+//   --dataset PATH              serve evaluations from a saved CSV dataset
+//   --scalar-breed              pre-refactor GA breed path (bit-identical)
+//
+// Characterization (enumerates the space instead of searching):
+//   --sensitivity               print the dataset sensitivity report
+//   --save-dataset PATH         characterize the space and write CSV
+//
+// Flag mode (--pareto, or any flag below): the flags become a JobSpec run
+// by serve::run_job as --job does; engine nsga2 with --pareto, else ga.
+//   --pareto METRIC2            map the METRIC x METRIC2 Pareto front
+//   --checkpoint PATH           start fresh, writing run state to PATH every
 //                               --checkpoint-every generations (default 1)
-//   --resume PATH               resume a checkpointed run (bit-for-bit
-//                               identical to an uninterrupted one at any
-//                               --workers count)
+//   --resume PATH               resume a checkpointed run bit-for-bit, at
+//                               any --workers count
 //   --die-at-gen N              write a checkpoint at generation N and stop
 //                               (deterministic stand-in for a killed run)
 //   --retries N                 evaluation attempts per design point
 //   --retry-backoff MS          base backoff before retry 2 (exponential)
 //   --eval-timeout S            per-attempt watchdog timeout in seconds
-//   --chaos-fail R              inject failures with probability R (chaos
-//                               mode; implies quarantine-on-exhaustion)
+//   --chaos-fail R              inject failures with probability R (implies
+//                               quarantine-on-exhaustion; not with --pareto)
 //   --chaos-hang R              inject hangs (sleep) with probability R
 //   --chaos-flaky R             perturb values with probability R
 //   --chaos-seed N              fault-injection seed (default 0xc4a05)
@@ -68,7 +75,8 @@
 // Job plane (search-as-a-service; see DESIGN.md §12):
 //   --job SPEC.json             run one job spec standalone (the reference
 //                               side of the server determinism gate); honors
-//                               --trace, --store, --checkpoint, --die-at-gen
+//                               --trace, --store, --checkpoint (resumed when
+//                               present), --die-at-gen
 //   --serve-jobs PORT           run the multi-tenant job server: POST /jobs
 //                               submits specs, GET /jobs/<id> streams
 //                               progress, DELETE /jobs/<id> cancels with a
@@ -92,6 +100,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -100,17 +109,13 @@
 #include <thread>
 
 #include "core/eval_store.hpp"
-#include "core/fault_injection.hpp"
 #include "core/hint_estimator.hpp"
 #include "core/nautilus.hpp"
-#include "core/nsga2.hpp"
 #include "exp/experiment.hpp"
 #include "obs/http_server.hpp"
 #include "obs/obs.hpp"
-#include "fft/fft_generator.hpp"
 #include "ip/analysis.hpp"
-#include "noc/network_generator.hpp"
-#include "noc/router_generator.hpp"
+#include "serve/engine_factory.hpp"
 #include "serve/scheduler.hpp"
 
 using namespace nautilus;
@@ -125,7 +130,7 @@ struct CliOptions {
     std::string guidance = "none";
     std::size_t runs = 10;
     std::size_t generations = 80;
-    std::size_t population = 10;
+    std::size_t population = 0;  // 0 = engine default
     std::uint64_t seed = 2015;
     std::size_t workers = 1;
     std::size_t samples = 80;
@@ -152,7 +157,7 @@ struct CliOptions {
     std::string log_path;            // structured server log file (JSONL)
     std::string log_level = "info";  // debug|info|warn|error
 
-    // Single-run fault-tolerance / checkpoint mode.
+    // Flag mode: checkpoint and fault-tolerance settings.
     std::string checkpoint;
     std::size_t checkpoint_every = 1;
     std::string resume;
@@ -165,32 +170,43 @@ struct CliOptions {
     double chaos_flaky = 0.0;
     std::uint64_t chaos_seed = 0xc4a05;
 
-    bool single_run() const
-    {
-        return !checkpoint.empty() || !resume.empty() || die_at_gen != 0 ||
-               chaos_fail > 0.0 || chaos_hang > 0.0 || chaos_flaky > 0.0 ||
-               retries > 1 || eval_timeout > 0.0;
-    }
+    bool chaotic() const { return chaos_fail > 0.0 || chaos_hang > 0.0 || chaos_flaky > 0.0; }
 };
+
+// What one invocation does; the first that applies wins.
+enum class Mode { job, serve_jobs, characterize, flag_job, experiment };
+
+Mode mode_of(const CliOptions& opt)
+{
+    if (!opt.job_spec.empty()) return Mode::job;
+    if (opt.serve_jobs_port >= 0) return Mode::serve_jobs;
+    if (!opt.save_dataset.empty() || opt.sensitivity) return Mode::characterize;
+    if (!opt.pareto_metric.empty() || !opt.checkpoint.empty() || !opt.resume.empty() ||
+        opt.die_at_gen != 0 || opt.chaotic() || opt.retries > 1 || opt.eval_timeout > 0.0)
+        return Mode::flag_job;
+    return Mode::experiment;
+}
+
+unsigned long long ull(std::uint64_t v) { return static_cast<unsigned long long>(v); }
 
 [[noreturn]] void usage(const char* argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [--ip router|fft|network] [--metric NAME]\n"
-                 "          [--direction min|max] [--guidance none|weak|strong|estimated]\n"
-                 "          [--runs N] [--generations N] [--population N] [--seed N]\n"
-                 "          [--workers N] [--samples N] [--sensitivity] [--save-dataset PATH]\n"
-                 "          [--dataset PATH] [--pareto METRIC2] [--trace PATH] [--lineage]\n"
-                 "          [--metrics]\n"
-                 "          [--serve PORT] [--serve-grace S] [--progress [S]]\n"
-                 "          [--store PATH] [--store-max-bytes N] [--scalar-breed]\n"
-                 "          [--job SPEC.json] [--serve-jobs PORT] [--jobs-capacity N]\n"
-                 "          [--jobs-dir PATH] [--serve-duration S]\n"
-                 "          [--log PATH] [--log-level debug|info|warn|error]\n"
-                 "          [--checkpoint PATH] [--checkpoint-every N] [--resume PATH]\n"
-                 "          [--die-at-gen N] [--retries N] [--retry-backoff MS]\n"
-                 "          [--eval-timeout S] [--chaos-fail R] [--chaos-hang R]\n"
-                 "          [--chaos-flaky R] [--chaos-seed N]\n",
+                 "usage: %s [query] [experiment | characterize | flag mode | job plane]\n"
+                 "  query:        [--ip router|fft|network] [--metric NAME] [--direction min|max]\n"
+                 "                [--guidance none|weak|strong|estimated] [--generations N]\n"
+                 "                [--population N] [--seed N] [--workers N] [--trace PATH]\n"
+                 "                [--lineage] [--metrics] [--serve PORT] [--serve-grace S]\n"
+                 "                [--progress [S]] [--store PATH] [--store-max-bytes N]\n"
+                 "  experiment:   [--runs N] [--samples N] [--dataset PATH] [--scalar-breed]\n"
+                 "  characterize: [--sensitivity] [--save-dataset PATH]\n"
+                 "  flag mode:    [--pareto METRIC2] [--checkpoint PATH] [--checkpoint-every N]\n"
+                 "                [--resume PATH] [--die-at-gen N] [--retries N]\n"
+                 "                [--retry-backoff MS] [--eval-timeout S] [--chaos-fail R]\n"
+                 "                [--chaos-hang R] [--chaos-flaky R] [--chaos-seed N]\n"
+                 "  job plane:    [--job SPEC.json] [--serve-jobs PORT] [--jobs-capacity N]\n"
+                 "                [--jobs-dir PATH] [--serve-duration S] [--log PATH]\n"
+                 "                [--log-level debug|info|warn|error]\n",
                  argv0);
     std::exit(2);
 }
@@ -245,11 +261,21 @@ CliOptions parse(int argc, char** argv)
         if (i + 1 >= argc) usage(argv[0]);
         return argv[++i];
     };
+    const auto reject_if = [&](bool bad, const std::string& why) {
+        if (!bad) return;
+        std::fprintf(stderr, "%s\n", why.c_str());
+        usage(argv[0]);
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto count = [&](int& j) { return parse_count(argv[0], arg, need_value(j)); };
         const auto u64 = [&](int& j) { return parse_u64(argv[0], arg, need_value(j)); };
         const auto number = [&](int& j) { return parse_number(argv[0], arg, need_value(j)); };
+        const auto port = [&](int& j) {
+            const std::uint64_t p = u64(j);
+            reject_if(p > 65535, arg + " port out of range (0..65535)");
+            return static_cast<int>(p);
+        };
         if (arg == "--ip") opt.ip = need_value(i);
         else if (arg == "--metric") opt.metric = need_value(i);
         else if (arg == "--direction") opt.direction = need_value(i);
@@ -267,14 +293,7 @@ CliOptions parse(int argc, char** argv)
         else if (arg == "--trace") opt.trace_path = need_value(i);
         else if (arg == "--lineage") opt.lineage = true;
         else if (arg == "--metrics") opt.metrics = true;
-        else if (arg == "--serve") {
-            const std::uint64_t port = u64(i);
-            if (port > 65535) {
-                std::fprintf(stderr, "--serve port out of range (0..65535)\n");
-                usage(argv[0]);
-            }
-            opt.serve_port = static_cast<int>(port);
-        }
+        else if (arg == "--serve") opt.serve_port = port(i);
         else if (arg == "--serve-grace") opt.serve_grace = number(i);
         else if (arg == "--progress") {
             // Optional numeric value: `--progress 2` or bare `--progress`.
@@ -286,14 +305,7 @@ CliOptions parse(int argc, char** argv)
         else if (arg == "--store-max-bytes") opt.store_max_bytes = u64(i);
         else if (arg == "--scalar-breed") opt.scalar_breed = true;
         else if (arg == "--job") opt.job_spec = need_value(i);
-        else if (arg == "--serve-jobs") {
-            const std::uint64_t port = u64(i);
-            if (port > 65535) {
-                std::fprintf(stderr, "--serve-jobs port out of range (0..65535)\n");
-                usage(argv[0]);
-            }
-            opt.serve_jobs_port = static_cast<int>(port);
-        }
+        else if (arg == "--serve-jobs") opt.serve_jobs_port = port(i);
         else if (arg == "--jobs-capacity") opt.jobs_capacity = count(i);
         else if (arg == "--jobs-dir") opt.jobs_dir = need_value(i);
         else if (arg == "--serve-duration") opt.serve_duration = number(i);
@@ -316,42 +328,79 @@ CliOptions parse(int argc, char** argv)
             usage(argv[0]);
         }
     }
-    if (opt.workers == 0) {
-        std::fprintf(stderr, "--workers must be at least 1\n");
-        usage(argv[0]);
-    }
+    // A flag the chosen mode would drop is an error, not a silent no-op.
+    const Mode mode = mode_of(opt);
+    const std::string experiment_only = " applies only to the multi-run experiment mode";
+    reject_if(opt.workers == 0, "--workers must be at least 1");
+    reject_if(mode != Mode::experiment && opt.scalar_breed, "--scalar-breed" + experiment_only);
+    reject_if(mode != Mode::experiment && !opt.dataset.empty(), "--dataset" + experiment_only);
+    reject_if(mode == Mode::flag_job && opt.guidance == "estimated",
+              "--guidance estimated" + experiment_only);
+    reject_if(mode == Mode::flag_job && !opt.pareto_metric.empty() && opt.chaotic(),
+              "--chaos-* does not apply to --pareto (it injects into single-metric runs)");
+    reject_if(!opt.checkpoint.empty() && !opt.resume.empty(),
+              "--checkpoint and --resume are exclusive (--resume P keeps checkpointing to P)");
     return opt;
 }
 
-std::unique_ptr<ip::IpGenerator> make_generator(const std::string& name)
-{
-    if (name == "router") return std::make_unique<noc::RouterGenerator>();
-    if (name == "fft")
-        return std::make_unique<fft::FftGenerator>(synth::FpgaTech::virtex6_lx760t(),
-                                                   /*measure_snr=*/false);
-    if (name == "network") return std::make_unique<noc::NetworkGenerator>();
-    std::fprintf(stderr, "unknown IP '%s' (router, fft, network)\n", name.c_str());
-    std::exit(2);
-}
-
-Metric default_metric(const std::string& ip)
-{
-    if (ip == "fft") return Metric::area_luts;
-    if (ip == "network") return Metric::bisection_gbps;
-    return Metric::freq_mhz;
-}
-
-std::shared_ptr<EvalStore> open_store(const CliOptions& opt)
+// Opens --store (null when unset) and reports its size; throws when the
+// directory cannot be opened.
+std::shared_ptr<EvalStore> open_store(const CliOptions& opt,
+                                      const std::shared_ptr<obs::MetricsRegistry>& metrics)
 {
     if (opt.store.empty()) return nullptr;
     EvalStoreConfig sc;
     sc.path = opt.store;
     sc.max_bytes = opt.store_max_bytes;
-    return std::make_shared<EvalStore>(sc);
+    auto store = std::make_shared<EvalStore>(sc);
+    if (metrics) store->attach_metrics(metrics);
+    std::printf("evaluation store: %s (%zu records)\n", opt.store.c_str(), store->records());
+    return store;
 }
 
-// `--job SPEC.json`: run one job spec standalone through the same
-// serve::run_job entry point the scheduler uses.  This is the reference
+// Runs one spec through serve::run_job -- the entry point the job server
+// uses -- and prints its outcome.  Shared by --job and flag mode.
+int run_spec(const serve::JobSpec& spec, const serve::JobRunInputs& inputs)
+{
+    std::printf("job: %s\n", serve::canonical_spec_json(spec).c_str());
+    std::fflush(stdout);
+    serve::JobOutcome r;
+    try {
+        r = serve::run_job(spec, inputs);
+    }
+    catch (const std::exception& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
+    if (r.halted)
+        std::printf("halted at generation %zu (checkpoint written to %s)\n",
+                    inputs.halt_at_generation, inputs.checkpoint_path.c_str());
+    if (!r.feasible) std::printf("no feasible design found\n");
+    else if (spec.engine == "nsga2") {
+        std::printf("front: %zu points\n", r.front.size());
+        for (const serve::FrontEntry& p : r.front) {
+            std::printf("  [");
+            for (std::size_t k = 0; k < p.values.size(); ++k)
+                std::printf("%s%.17g", k == 0 ? "" : ", ", p.values[k]);
+            std::printf("]  %s\n", p.genome.c_str());
+        }
+    }
+    else {
+        std::printf("best: %.17g\n", r.best);
+        if (!r.best_genome.empty()) std::printf("genome: %s\n", r.best_genome.c_str());
+    }
+    std::printf("evals: %zu distinct, %zu calls; attempts %llu (retries %llu, failures %llu, "
+                "timeouts %llu, quarantined %llu)\n",
+                r.distinct_evals, r.total_eval_calls, ull(r.fault.attempts),
+                ull(r.fault.retries), ull(r.fault.failures), ull(r.fault.timeouts),
+                ull(r.fault.quarantined));
+    if (inputs.store)
+        std::printf("store served %zu of %zu distinct evaluations\n", r.store_hits,
+                    r.distinct_evals);
+    return 0;
+}
+
+// `--job SPEC.json`: run one job spec standalone.  This is the reference
 // side of the server determinism gate -- its trace must be byte-identical
 // to the server-side trace of the same spec.
 int run_job_mode(const CliOptions& opt)
@@ -376,36 +425,123 @@ int run_job_mode(const CliOptions& opt)
     inputs.trace_path = opt.trace_path;
     inputs.checkpoint_path = opt.checkpoint;
     inputs.halt_at_generation = opt.die_at_gen;
-    std::shared_ptr<EvalStore> store;
     try {
-        store = open_store(opt);
-        inputs.store = store;
-        std::printf("job: %s\n", serve::canonical_spec_json(spec).c_str());
-        const serve::JobOutcome r = serve::run_job(spec, inputs);
-        if (r.halted)
-            std::printf("halted at a checkpoint boundary (rerun to resume)\n");
-        if (!r.feasible) std::printf("no feasible design found\n");
-        else if (spec.engine == "nsga2") {
-            std::printf("front: %zu points\n", r.front.size());
-            for (const serve::FrontEntry& p : r.front) {
-                std::printf("  [");
-                for (std::size_t k = 0; k < p.values.size(); ++k)
-                    std::printf("%s%.17g", k == 0 ? "" : ", ", p.values[k]);
-                std::printf("]  %s\n", p.genome.c_str());
-            }
-        }
-        else {
-            std::printf("best: %.17g\n", r.best);
-            if (!r.best_genome.empty()) std::printf("genome: %s\n", r.best_genome.c_str());
-        }
-        std::printf("evals: %zu distinct, %zu calls\n", r.distinct_evals,
-                    r.total_eval_calls);
-        if (store) store->flush();
+        inputs.store = open_store(opt, nullptr);
     }
     catch (const std::exception& e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 1;
     }
+    const int code = run_spec(spec, inputs);
+    if (inputs.store) inputs.store->flush();
+    return code;
+}
+
+// Flag mode: the flags become a JobSpec (engine nsga2 with --pareto, else
+// ga) plus the run inputs the CLI adds, run like a --job spec.
+int run_flag_job(const CliOptions& opt, Metric metric, Direction direction,
+                 const std::shared_ptr<EvalStore>& store, const obs::Instrumentation& inst)
+{
+    const serve::JobSpec spec{
+        .engine = opt.pareto_metric.empty() ? "ga" : "nsga2", .ip = opt.ip,
+        .metric = ip::metric_name(metric), .metric2 = opt.pareto_metric,
+        .direction = direction == Direction::minimize ? "min" : "max",
+        .guidance = opt.guidance, .generations = opt.generations,
+        .population = opt.population, .seed = opt.seed, .workers = opt.workers};
+
+    serve::JobRunInputs inputs;
+    inputs.store = store;
+    inputs.trace_path = opt.trace_path;
+    inputs.checkpoint_path = opt.resume.empty() ? opt.checkpoint : opt.resume;
+    inputs.checkpoint_every = opt.checkpoint_every;
+    inputs.obs = inst;
+    inputs.halt_at_generation = opt.die_at_gen;
+    inputs.fault.retry.max_attempts = std::max<std::size_t>(opt.retries, 1);
+    inputs.fault.retry.backoff_ms = opt.retry_backoff_ms;
+    inputs.fault.retry.timeout_seconds = opt.eval_timeout;
+    inputs.fault.tolerate_failures = opt.chaotic() || opt.retries > 1;
+    inputs.chaos = {.fail_rate = opt.chaos_fail, .hang_rate = opt.chaos_hang,
+                    .flaky_value_rate = opt.chaos_flaky, .seed = opt.chaos_seed};
+    if (opt.chaotic())
+        std::printf("chaos mode: fail %.3f, hang %.3f, flaky %.3f (seed %llu)\n",
+                    opt.chaos_fail, opt.chaos_hang, opt.chaos_flaky, ull(opt.chaos_seed));
+
+    // Not run_job's resume-if-exists rule: --resume demands the file and
+    // --checkpoint always starts a fresh run.
+    if (!opt.resume.empty() && !std::ifstream{opt.resume}) {
+        std::fprintf(stderr, "checkpoint %s: cannot open\n", opt.resume.c_str());
+        return 1;
+    }
+    std::error_code ignored;
+    if (!opt.checkpoint.empty()) std::filesystem::remove(opt.checkpoint, ignored);
+    return run_spec(spec, inputs);
+}
+
+// The multi-run experiment: baseline vs guided GA, averaged over --runs.
+int run_experiment(const CliOptions& opt, const ip::IpGenerator& generator, Metric metric,
+                   Direction direction, const std::shared_ptr<EvalStore>& store,
+                   obs::Instrumentation inst)
+{
+    if (!opt.trace_path.empty()) {
+        try {
+            inst.tracer = obs::Tracer{std::make_shared<obs::JsonlFileSink>(opt.trace_path)};
+        }
+        catch (const std::exception& e) {
+            std::fprintf(stderr, "%s\n", e.what());
+            return 1;
+        }
+    }
+    exp::ExperimentConfig cfg;
+    cfg.runs = opt.runs;
+    cfg.ga.generations = opt.generations;
+    if (opt.population != 0) cfg.ga.population_size = opt.population;
+    cfg.ga.seed = opt.seed;
+    cfg.ga.eval_workers = opt.workers;
+    cfg.ga.obs = inst;
+    cfg.ga.scalar_breed = opt.scalar_breed;
+    if (store) {
+        cfg.ga.store = store;
+        cfg.ga.store_namespace =
+            EvalStore::namespace_key(opt.ip + "/" + ip::metric_name(metric));
+    }
+
+    const exp::Query query = exp::Query::simple(
+        std::string(direction_name(direction)) + " " + ip::metric_name(metric), metric,
+        direction);
+
+    exp::Experiment experiment{generator, query, cfg};
+    std::optional<ip::Dataset> cached;
+    if (!opt.dataset.empty()) {
+        std::ifstream in{opt.dataset};
+        if (!in) {
+            std::fprintf(stderr, "cannot read %s\n", opt.dataset.c_str());
+            return 1;
+        }
+        cached = ip::Dataset::load_csv(in, generator);
+        std::printf("serving evaluations from %s (%zu points)\n", opt.dataset.c_str(),
+                    cached->size());
+        experiment.use_dataset(*cached);
+    }
+    experiment.add_engine({"baseline", GuidanceLevel::none, std::nullopt, std::nullopt});
+    if (opt.guidance == "weak" || opt.guidance == "strong") {
+        const GuidanceLevel level =
+            opt.guidance == "weak" ? GuidanceLevel::weak : GuidanceLevel::strong;
+        experiment.add_engine({"nautilus-" + opt.guidance, level, std::nullopt,
+                               std::nullopt});
+    }
+    else if (opt.guidance == "estimated") {
+        HintEstimatorConfig ec;
+        ec.samples = opt.samples;
+        ec.seed = opt.seed ^ 0xe57;
+        ec.tracer = inst.tracer;
+        HintSet estimated =
+            HintEstimator{ec}.estimate(generator.space(), generator.metric_eval(metric));
+        if (direction == Direction::minimize) estimated = estimated.negated_bias();
+        experiment.add_engine({"nautilus-estimated", GuidanceLevel::strong,
+                               std::move(estimated), std::nullopt});
+    }
+
+    experiment.run().print(std::cout);
     return 0;
 }
 
@@ -439,16 +575,11 @@ int serve_jobs_mode(const CliOptions& opt)
 
     std::shared_ptr<EvalStore> store;
     try {
-        store = open_store(opt);
+        store = open_store(opt, metrics);
     }
     catch (const std::exception& e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 1;
-    }
-    if (store) {
-        store->attach_metrics(metrics);
-        std::printf("evaluation store: %s (%zu records)\n", opt.store.c_str(),
-                    store->records());
     }
 
     serve::SchedulerConfig sc;
@@ -497,94 +628,48 @@ int serve_jobs_mode(const CliOptions& opt)
 int main(int argc, char** argv)
 {
     const CliOptions opt = parse(argc, argv);
+    const Mode mode = mode_of(opt);
 
     // Job-plane modes are self-contained (specs name their own IP and the
-    // server multiplexes many searches); handle them before the single-query
-    // setup below so e.g. --trace is not opened twice.
-    if (!opt.job_spec.empty()) return run_job_mode(opt);
-    if (opt.serve_jobs_port >= 0) return serve_jobs_mode(opt);
+    // server multiplexes many searches).
+    if (mode == Mode::job) return run_job_mode(opt);
+    if (mode == Mode::serve_jobs) return serve_jobs_mode(opt);
 
-    const auto generator = make_generator(opt.ip);
-
-    Metric metric = default_metric(opt.ip);
-    if (!opt.metric.empty()) {
-        const auto parsed = ip::metric_from_name(opt.metric);
-        if (!parsed) {
-            std::fprintf(stderr, "unknown metric '%s'\n", opt.metric.c_str());
+    std::unique_ptr<ip::IpGenerator> generator;
+    try {
+        generator = serve::make_generator(opt.ip);
+    }
+    catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
+    const std::string metric_name = opt.metric.empty() ? serve::default_metric(opt.ip)
+                                                       : opt.metric;
+    for (const std::string& name : {metric_name, opt.pareto_metric})
+        if (!name.empty() && !ip::metric_from_name(name)) {
+            std::fprintf(stderr, "unknown metric '%s'\n", name.c_str());
             return 2;
         }
-        metric = *parsed;
-    }
+    const Metric metric = *ip::metric_from_name(metric_name);
     Direction direction = ip::metric_default_direction(metric);
     if (opt.direction == "min") direction = Direction::minimize;
     else if (opt.direction == "max") direction = Direction::maximize;
     else if (!opt.direction.empty()) usage(argv[0]);
+    if (opt.guidance != "none" && opt.guidance != "weak" && opt.guidance != "strong" &&
+        opt.guidance != "estimated")
+        usage(argv[0]);
 
     std::printf("IP: %s (%zu parameters, %.0f configurations)\n",
                 generator->name().c_str(), generator->space().size(),
                 generator->space().cardinality());
+    if (!opt.trace_path.empty()) std::printf("tracing to %s\n", opt.trace_path.c_str());
 
-    // Observability: tracing to a JSONL file and/or an end-of-run metrics
-    // dump.  Both default off; a default-constructed Instrumentation costs a
-    // predicted branch per site.
+    // Observability: lineage, an end-of-run metrics dump and (experiment
+    // mode; run_job opens its own) the JSONL tracer.  All default off; a
+    // default-constructed Instrumentation costs a predicted branch per site.
     obs::Instrumentation inst;
-    if (!opt.trace_path.empty()) {
-        try {
-            inst.tracer = obs::Tracer{std::make_shared<obs::JsonlFileSink>(opt.trace_path)};
-        }
-        catch (const std::exception& e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            return 1;
-        }
-        std::printf("tracing to %s\n", opt.trace_path.c_str());
-    }
     if (opt.lineage) inst.lineage = std::make_shared<obs::LineageTracker>();
     if (opt.metrics) inst.metrics = std::make_shared<obs::MetricsRegistry>();
-    const auto dump_metrics = [&] {
-        if (!opt.metrics || !inst.metrics) return;
-        std::cout << "-- metrics --\n";
-        inst.metrics->write_text(std::cout);
-    };
-    // End-of-run lineage efficacy line: the last finished run's per-hint-class
-    // offspring -> survived -> improved funnel plus winner attribution.
-    const auto dump_lineage = [&] {
-        if (!inst.lineage) return;
-        const obs::LineageCounters c = inst.lineage->counters();
-        if (!c.have_last) return;
-        const obs::LineageSummary& s = c.last;
-        std::printf("lineage (%s, last of %llu runs): %llu births "
-                    "(%llu roots, %llu elites, %llu mutation, %llu crossover), "
-                    "%llu survived, %llu improved\n",
-                    c.engine.c_str(), static_cast<unsigned long long>(c.runs),
-                    static_cast<unsigned long long>(s.births),
-                    static_cast<unsigned long long>(s.roots),
-                    static_cast<unsigned long long>(s.elites),
-                    static_cast<unsigned long long>(s.mutation_births),
-                    static_cast<unsigned long long>(s.crossover_births),
-                    static_cast<unsigned long long>(s.survived),
-                    static_cast<unsigned long long>(s.improved));
-        std::printf("  hint efficacy (offspring/survived/improved): "
-                    "bias %llu/%llu/%llu, target %llu/%llu/%llu, "
-                    "uniform %llu/%llu/%llu\n",
-                    static_cast<unsigned long long>(s.offspring_bias),
-                    static_cast<unsigned long long>(s.survived_bias),
-                    static_cast<unsigned long long>(s.improved_bias),
-                    static_cast<unsigned long long>(s.offspring_target),
-                    static_cast<unsigned long long>(s.survived_target),
-                    static_cast<unsigned long long>(s.improved_target),
-                    static_cast<unsigned long long>(s.offspring_uniform),
-                    static_cast<unsigned long long>(s.survived_uniform),
-                    static_cast<unsigned long long>(s.improved_uniform));
-        if (s.have_winner)
-            std::printf("  winner genes: %llu bias, %llu target, %llu uniform, "
-                        "%llu fresh, %llu repair (ancestry depth %llu)\n",
-                        static_cast<unsigned long long>(s.winner_bias),
-                        static_cast<unsigned long long>(s.winner_target),
-                        static_cast<unsigned long long>(s.winner_uniform),
-                        static_cast<unsigned long long>(s.winner_fresh),
-                        static_cast<unsigned long long>(s.winner_repair),
-                        static_cast<unsigned long long>(s.winner_depth));
-    };
 
     // Live observability: the progress tracker feeds both the HTTP /status
     // endpoint and the stderr heartbeat; --serve additionally exposes the
@@ -620,35 +705,13 @@ int main(int argc, char** argv)
     // from disk, fresh ones recorded for the next invocation.  Namespaced by
     // IP + metric so different queries never collide in one store directory.
     std::shared_ptr<EvalStore> store;
-    if (!opt.store.empty()) {
-        EvalStoreConfig sc;
-        sc.path = opt.store;
-        sc.max_bytes = opt.store_max_bytes;
-        try {
-            store = std::make_shared<EvalStore>(sc);
-        }
-        catch (const std::exception& e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            return 1;
-        }
-        if (inst.metrics) store->attach_metrics(inst.metrics);
-        std::printf("evaluation store: %s (%zu records)\n", opt.store.c_str(),
-                    store->records());
+    try {
+        store = open_store(opt, inst.metrics);
     }
-    const auto dump_store = [&] {
-        if (!store) return;
-        store->flush();
-        const EvalStoreCounters c = store->counters();
-        const std::uint64_t probes = c.hits + c.misses;
-        std::printf("store: %zu records; %llu hits / %llu misses (%.1f%% hit rate), "
-                    "%llu writes, %llu compactions, %llu evictions\n",
-                    store->records(), static_cast<unsigned long long>(c.hits),
-                    static_cast<unsigned long long>(c.misses),
-                    probes == 0 ? 0.0 : 100.0 * static_cast<double>(c.hits) / probes,
-                    static_cast<unsigned long long>(c.writes),
-                    static_cast<unsigned long long>(c.compactions),
-                    static_cast<unsigned long long>(c.evictions));
-    };
+    catch (const std::exception& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
 
     // Wind down the live plane: stop the heartbeat, honor --serve-grace so a
     // scraper can still read the final /metrics + /status, then stop serving.
@@ -687,199 +750,47 @@ int main(int argc, char** argv)
         return finish(0);
     }
 
-    // Pareto mode: map a two-metric front with NSGA-II.
-    if (!opt.pareto_metric.empty()) {
-        const auto second = ip::metric_from_name(opt.pareto_metric);
-        if (!second) {
-            std::fprintf(stderr, "unknown metric '%s'\n", opt.pareto_metric.c_str());
-            return finish(2);
-        }
-        const std::vector<Direction> dirs{direction,
-                                          ip::metric_default_direction(*second)};
-        const MultiEvalFn eval =
-            [&](const Genome& g) -> std::optional<std::vector<double>> {
-            const auto mv = generator->evaluate(g);
-            if (!mv.feasible) return std::nullopt;
-            const auto a = mv.try_get(metric);
-            const auto b = mv.try_get(*second);
-            if (!a || !b) return std::nullopt;
-            return std::vector<double>{*a, *b};
-        };
-        MultiObjectiveConfig mo;
-        mo.generations = opt.generations;
-        mo.seed = opt.seed;
-        mo.eval_workers = opt.workers;
-        mo.obs = inst;
-        if (store) {
-            mo.store = store;
-            mo.store_namespace = EvalStore::namespace_key(
-                opt.ip + "/" + ip::metric_name(metric) + "+" + ip::metric_name(*second));
-        }
-        const Nsga2Engine engine{generator->space(), mo, dirs, eval,
-                                 HintSet::none(generator->space())};
-        const auto result = engine.run();
-        std::printf("Pareto front of %s vs %s: %zu points (%zu evaluations)\n",
-                    ip::metric_name(metric), ip::metric_name(*second),
-                    result.front.size(), result.distinct_evals);
-        for (const auto& p : result.front)
-            std::printf("  %12.2f  %12.2f   %s\n", p.values[0], p.values[1],
-                        p.genome.to_string(generator->space()).c_str());
-        std::printf("evaluation pipeline: %.3f s @ %zu workers, %zu distinct / %zu calls\n",
-                    result.eval_seconds, result.eval_workers, result.distinct_evals,
-                    result.total_eval_calls);
-        dump_lineage();
-        dump_store();
-        dump_metrics();
-        return finish(0);
+    const int code = mode == Mode::flag_job
+                         ? run_flag_job(opt, metric, direction, store, inst)
+                         : run_experiment(opt, *generator, metric, direction, store, inst);
+    if (code != 0) return finish(code);
+
+    // End-of-run lineage efficacy line: the last finished run's per-hint-class
+    // offspring -> survived -> improved funnel plus winner attribution.
+    if (const obs::LineageCounters c = inst.lineage ? inst.lineage->counters()
+                                                    : obs::LineageCounters{};
+        c.have_last) {
+        const obs::LineageSummary& s = c.last;
+        std::printf("lineage (%s, last of %llu runs): %llu births (%llu roots, %llu elites, "
+                    "%llu mutation, %llu crossover), %llu survived, %llu improved\n",
+                    c.engine.c_str(), ull(c.runs), ull(s.births), ull(s.roots),
+                    ull(s.elites), ull(s.mutation_births), ull(s.crossover_births),
+                    ull(s.survived), ull(s.improved));
+        std::printf("  hint efficacy (offspring/survived/improved): bias %llu/%llu/%llu, "
+                    "target %llu/%llu/%llu, uniform %llu/%llu/%llu\n",
+                    ull(s.offspring_bias), ull(s.survived_bias), ull(s.improved_bias),
+                    ull(s.offspring_target), ull(s.survived_target), ull(s.improved_target),
+                    ull(s.offspring_uniform), ull(s.survived_uniform),
+                    ull(s.improved_uniform));
+        if (s.have_winner)
+            std::printf("  winner genes: %llu bias, %llu target, %llu uniform, %llu fresh, "
+                        "%llu repair (ancestry depth %llu)\n",
+                        ull(s.winner_bias), ull(s.winner_target), ull(s.winner_uniform),
+                        ull(s.winner_fresh), ull(s.winner_repair), ull(s.winner_depth));
     }
-
-    // Single-run GA mode: fault tolerance, chaos injection, checkpoints.
-    // The experiment harness averages many runs; checkpoint/resume and chaos
-    // accounting are about *one* long-lived run, so these flags bypass it.
-    if (opt.single_run()) {
-        EvalFn eval = generator->metric_eval(metric);
-        std::unique_ptr<FaultInjectingEvaluator> chaos;
-        const bool chaotic =
-            opt.chaos_fail > 0.0 || opt.chaos_hang > 0.0 || opt.chaos_flaky > 0.0;
-        if (chaotic) {
-            FaultInjectionConfig fic;
-            fic.fail_rate = opt.chaos_fail;
-            fic.hang_rate = opt.chaos_hang;
-            fic.flaky_value_rate = opt.chaos_flaky;
-            fic.seed = opt.chaos_seed;
-            chaos = std::make_unique<FaultInjectingEvaluator>(std::move(eval), fic);
-            eval = chaos->as_eval_fn();
-            std::printf("chaos mode: fail %.3f, hang %.3f, flaky %.3f (seed %llu)\n",
-                        opt.chaos_fail, opt.chaos_hang, opt.chaos_flaky,
-                        static_cast<unsigned long long>(opt.chaos_seed));
-        }
-
-        GaConfig ga;
-        ga.generations = opt.generations;
-        ga.population_size = opt.population;
-        ga.seed = opt.seed;
-        ga.eval_workers = opt.workers;
-        ga.obs = inst;
-        ga.fault.retry.max_attempts = std::max<std::size_t>(opt.retries, 1);
-        ga.fault.retry.backoff_ms = opt.retry_backoff_ms;
-        ga.fault.retry.timeout_seconds = opt.eval_timeout;
-        ga.fault.tolerate_failures = chaotic || opt.retries > 1;
-        ga.checkpoint_path = !opt.checkpoint.empty() ? opt.checkpoint : opt.resume;
-        ga.checkpoint_every = opt.checkpoint_every;
-        ga.halt_at_generation = opt.die_at_gen;
-        ga.scalar_breed = opt.scalar_breed;
-        if (store) {
-            ga.store = store;
-            ga.store_namespace =
-                EvalStore::namespace_key(opt.ip + "/" + ip::metric_name(metric));
-        }
-
-        HintSet hints = HintSet::none(generator->space());
-        if (opt.guidance == "weak" || opt.guidance == "strong") {
-            const GuidanceLevel level =
-                opt.guidance == "weak" ? GuidanceLevel::weak : GuidanceLevel::strong;
-            hints = apply_guidance(generator->author_hints(metric), direction, level);
-        }
-
-        try {
-            const GaEngine engine{generator->space(), ga, direction, eval, hints};
-            const RunResult r =
-                opt.resume.empty() ? engine.run() : engine.resume(opt.resume);
-            if (r.halted)
-                std::printf("halted at generation %zu (checkpoint written to %s)\n",
-                            ga.halt_at_generation, ga.checkpoint_path.c_str());
-            else if (r.best_eval.feasible)
-                std::printf("best %s = %.4f after %zu generations: %s\n",
-                            ip::metric_name(metric), r.best_eval.value,
-                            r.history.size(),  // includes pre-checkpoint gens
-                            r.best_genome.to_string(generator->space()).c_str());
-            else
-                std::printf("no feasible design found\n");
-            std::printf(
-                "evaluations: %zu distinct / %zu calls; attempts %llu (retries %llu, "
-                "failures %llu, timeouts %llu, quarantined %llu)\n",
-                r.distinct_evals, r.total_eval_calls,
-                static_cast<unsigned long long>(r.fault.attempts),
-                static_cast<unsigned long long>(r.fault.retries),
-                static_cast<unsigned long long>(r.fault.failures),
-                static_cast<unsigned long long>(r.fault.timeouts),
-                static_cast<unsigned long long>(r.fault.quarantined));
-            if (store)
-                std::printf("store served %zu of %zu distinct evaluations\n",
-                            r.store_hits, r.distinct_evals);
-            if (chaos)
-                std::printf("chaos injected: %llu failures, %llu hangs, %llu flaky\n",
-                            static_cast<unsigned long long>(chaos->injected_failures()),
-                            static_cast<unsigned long long>(chaos->injected_hangs()),
-                            static_cast<unsigned long long>(chaos->injected_flaky()));
-        }
-        catch (const std::exception& e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            return finish(1);
-        }
-        dump_lineage();
-        dump_store();
-        dump_metrics();
-        return finish(0);
-    }
-
-    exp::ExperimentConfig cfg;
-    cfg.runs = opt.runs;
-    cfg.ga.generations = opt.generations;
-    cfg.ga.population_size = opt.population;
-    cfg.ga.seed = opt.seed;
-    cfg.ga.eval_workers = opt.workers;
-    cfg.ga.obs = inst;
-    cfg.ga.scalar_breed = opt.scalar_breed;
     if (store) {
-        cfg.ga.store = store;
-        cfg.ga.store_namespace =
-            EvalStore::namespace_key(opt.ip + "/" + ip::metric_name(metric));
+        store->flush();
+        const EvalStoreCounters c = store->counters();
+        const std::uint64_t probes = c.hits + c.misses;
+        std::printf("store: %zu records; %llu hits / %llu misses (%.1f%% hit rate), "
+                    "%llu writes, %llu compactions, %llu evictions\n",
+                    store->records(), ull(c.hits), ull(c.misses),
+                    probes == 0 ? 0.0 : 100.0 * static_cast<double>(c.hits) / probes,
+                    ull(c.writes), ull(c.compactions), ull(c.evictions));
     }
-
-    const exp::Query query = exp::Query::simple(
-        std::string(direction_name(direction)) + " " + ip::metric_name(metric), metric,
-        direction);
-
-    exp::Experiment experiment{*generator, query, cfg};
-    std::optional<ip::Dataset> cached;
-    if (!opt.dataset.empty()) {
-        std::ifstream in{opt.dataset};
-        if (!in) {
-            std::fprintf(stderr, "cannot read %s\n", opt.dataset.c_str());
-            return finish(1);
-        }
-        cached = ip::Dataset::load_csv(in, *generator);
-        std::printf("serving evaluations from %s (%zu points)\n", opt.dataset.c_str(),
-                    cached->size());
-        experiment.use_dataset(*cached);
+    if (opt.metrics) {
+        std::cout << "-- metrics --\n";
+        inst.metrics->write_text(std::cout);
     }
-    experiment.add_engine({"baseline", GuidanceLevel::none, std::nullopt, std::nullopt});
-    if (opt.guidance == "weak" || opt.guidance == "strong") {
-        const GuidanceLevel level =
-            opt.guidance == "weak" ? GuidanceLevel::weak : GuidanceLevel::strong;
-        experiment.add_engine({"nautilus-" + opt.guidance, level, std::nullopt,
-                               std::nullopt});
-    }
-    else if (opt.guidance == "estimated") {
-        HintEstimatorConfig ec;
-        ec.samples = opt.samples;
-        ec.seed = opt.seed ^ 0xe57;
-        ec.tracer = inst.tracer;
-        HintSet estimated =
-            HintEstimator{ec}.estimate(generator->space(), generator->metric_eval(metric));
-        if (direction == Direction::minimize) estimated = estimated.negated_bias();
-        experiment.add_engine({"nautilus-estimated", GuidanceLevel::strong,
-                               std::move(estimated), std::nullopt});
-    }
-    else if (opt.guidance != "none") {
-        usage(argv[0]);
-    }
-
-    const exp::ExperimentResult result = experiment.run();
-    result.print(std::cout);
-    dump_lineage();
-    dump_store();
-    dump_metrics();
     return finish(0);
 }
