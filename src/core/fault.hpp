@@ -16,8 +16,8 @@
 //      configurable penalty value instead, so a long search degrades
 //      gracefully rather than aborting at generation 79 of 80.
 //
-// Accounting invariant (validated by `trace_inspect --check`): every guarded
-// call makes >= 1 attempt, so
+// Accounting invariant (validated by `nautilus_trace inspect --check`):
+// every guarded call makes >= 1 attempt, so
 //     attempts == guarded calls (== cache misses) + retries.
 // Outcomes (ok / failed / timed_out, attempt counts, penalty flag) are kept
 // per design point and surfaced through trace events and eval.* counters.

@@ -42,9 +42,9 @@ struct GaConfig : EvalPipelineConfig, CheckpointConfig {
     // Route breeding through the pre-refactor per-call scalar path instead
     // of the data-oriented BreedContext (core/breed.hpp).  Both paths
     // consume the identical RNG sequence and produce bit-for-bit identical
-    // results (CI gates this with trace_diff on identical seeds), so the
-    // flag is deliberately excluded from config_fingerprint: a checkpoint
-    // may resume under either path.  Kept as the reference implementation
+    // results (CI gates this with `nautilus_trace diff` on identical
+    // seeds), so the flag is deliberately excluded from config_fingerprint:
+    // a checkpoint may resume under either path.  Kept as the reference implementation
     // during the transition; `nautilus_cli --scalar-breed` exposes it.
     bool scalar_breed = false;
 

@@ -10,7 +10,7 @@
 //     series, and output order is deterministic (sorted by name within each
 //     kind) so expositions diff cleanly.
 //   * Chrome trace-event JSON built from the JSONL trace, loadable in
-//     Perfetto / chrome://tracing (`trace_inspect --chrome OUT.json`).
+//     Perfetto / chrome://tracing (`nautilus_trace inspect --chrome OUT`).
 //     Spans and evaluation waves become complete ("X") events, generations
 //     become counter ("C") tracks, everything else becomes instants.
 

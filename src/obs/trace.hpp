@@ -4,7 +4,7 @@
 //
 // Every event is one flat JSON object per line -- `{"type":"eval_wave",
 // "t":0.0123,"size":10,...}` -- so traces are greppable, diffable and
-// trivially consumed by jq/pandas or the bundled `trace_inspect` tool.
+// trivially consumed by jq/pandas or the bundled `nautilus_trace` tool.
 // Field values are typed (bool / int / uint / double / string / double
 // array) and round-trip exactly through parse_jsonl_line(); non-finite
 // doubles serialize as JSON null and parse back as NaN.

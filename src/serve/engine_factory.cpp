@@ -276,8 +276,9 @@ JobOutcome run_job(const JobSpec& spec, const JobRunInputs& inputs)
 
     // Server jobs close their trace with a resource-accounting summary.
     // The eval counters mirror the run's own `run_end` exactly (checked by
-    // `trace_inspect --check`); queue wait comes from the scheduler.  Pure
-    // observation: zero RNG, so determinism gates are untouched.
+    // `nautilus_trace inspect --check`); queue wait comes from the
+    // scheduler.  Pure observation: zero RNG, so determinism gates are
+    // untouched.
     if (inputs.job_id != 0 && inst.tracer.enabled()) {
         obs::TraceEvent ev{"job_summary"};
         ev.add("job_id", obs::FieldValue{inputs.job_id});

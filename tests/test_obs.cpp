@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/ga.hpp"
+#include "obs/trace_runs.hpp"
 
 namespace nautilus {
 namespace {
@@ -370,6 +371,66 @@ TEST(ObsGaIntegration, TracingDoesNotChangeSearchResults)
     EXPECT_EQ(untraced.distinct_evals, with_trace.distinct_evals);
     EXPECT_EQ(untraced.best_eval.value, with_trace.best_eval.value);
     EXPECT_EQ(untraced.best_genome.genes(), with_trace.best_genome.genes());
+}
+
+// The shared trace reader: a traced GA run folds into one closed run whose
+// wave sums match run_end and that passes every check; a line that no
+// longer parses and a run cut before its run_end are both reported.
+TEST(ObsTraceRuns, FoldsAndChecksAGaTrace)
+{
+    const std::string dir = testing::TempDir();
+    const std::string path = dir + "obs_trace_runs.jsonl";
+    std::remove(path.c_str());
+    const ParameterSpace space = toy_space();
+    GaConfig cfg;
+    cfg.generations = 6;
+    cfg.obs = obs::Instrumentation::with_sink(std::make_shared<obs::JsonlFileSink>(path));
+    const RunResult result =
+        GaEngine{space, cfg, Direction::maximize, sum_eval, HintSet::none(space)}.run();
+    cfg.obs = {};  // closes the file
+
+    const obs::TraceFile file = obs::load_trace(path);
+    EXPECT_TRUE(file.bad_lines.empty());
+    const obs::TraceRuns trace = obs::fold_runs(file);
+    ASSERT_EQ(trace.runs.size(), 1u);
+    const obs::RunWindow& run = trace.runs[0];
+    EXPECT_EQ(run.engine, "ga");
+    EXPECT_TRUE(run.closed);
+    EXPECT_EQ(run.fresh, result.distinct_evals);
+    EXPECT_EQ(run.charged(), result.distinct_evals);
+    EXPECT_EQ(run.items, result.total_eval_calls);
+    ASSERT_TRUE(run.lineage.has_value());
+    EXPECT_EQ(run.births.size(), run.lineage->births);
+    EXPECT_TRUE(obs::check_runs(trace).empty());
+
+    // Corrupt the second line (the first birth) and drop everything from
+    // run_end on.
+    std::ifstream in{path};
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    const std::string cut = dir + "obs_trace_runs_cut.jsonl";
+    {
+        std::ofstream out{cut};
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+            if (lines[i].find("\"run_end\"") != std::string::npos) break;
+            out << (i == 1 ? lines[i].substr(1) : lines[i]) << "\n";
+        }
+    }
+    const obs::TraceRuns broken = obs::fold_runs(obs::load_trace(cut));
+    ASSERT_EQ(broken.runs.size(), 1u);
+    EXPECT_FALSE(broken.runs[0].closed);
+    EXPECT_EQ(broken.runs[0].charged(), 0u);
+    const std::vector<obs::Diagnostic> found = obs::check_runs(broken);
+    ASSERT_EQ(found.size(), 2u);
+    EXPECT_EQ(found[0].line, 2u);
+    EXPECT_EQ(found[0].text, "unparseable trace line");
+    EXPECT_EQ(found[1].line, 0u);
+    EXPECT_EQ(found[1].text, "run 0 (ga, line 1): run_start without run_end");
+    EXPECT_EQ(obs::check_runs(broken, /*require_run_end=*/false).size(), 1u);
+
+    EXPECT_THROW(obs::load_trace(dir + "obs_trace_runs_missing.jsonl"), std::runtime_error);
+    std::remove(path.c_str());
+    std::remove(cut.c_str());
 }
 
 TEST(ObsGaIntegration, BreedEventsClassifyGuidedDraws)

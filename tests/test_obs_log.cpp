@@ -94,8 +94,8 @@ TEST(ObsLog, TailLargerThanHistoryReturnsEverything)
 
 // The golden round-trip: a record with the exact shape the HTTP server's
 // access log emits parses back through parse_jsonl_line -- the same parser
-// trace_inspect and trace_diff are built on -- with every field intact and
-// "level" as the first field.
+// the trace reader (obs/trace_runs.hpp) is built on -- with every field
+// intact and "level" as the first field.
 TEST(ObsLog, AccessRecordRoundTripsThroughTraceParser)
 {
     const std::string dir = fresh_dir("roundtrip");

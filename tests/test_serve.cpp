@@ -29,6 +29,7 @@
 #include "obs/http_server.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
+#include "obs/trace_runs.hpp"
 #include "serve/engine_factory.hpp"
 #include "serve/job_spec.hpp"
 
@@ -47,24 +48,26 @@ std::string fresh_dir(const std::string& name)
     return dir;
 }
 
-std::vector<obs::TraceEvent> load_trace(const std::string& path)
+// The trace's events; every line must parse.
+std::vector<obs::TraceEvent> trace_events(const std::string& path)
 {
-    std::vector<obs::TraceEvent> events;
-    std::ifstream in{path};
-    EXPECT_TRUE(in.good()) << path;
-    std::string line;
-    while (std::getline(in, line)) {
-        auto ev = obs::parse_jsonl_line(line);
-        EXPECT_TRUE(ev.has_value()) << line;
-        if (ev) events.push_back(std::move(*ev));
-    }
-    return events;
+    obs::TraceFile file = obs::load_trace(path);
+    for (const std::size_t line : file.bad_lines)
+        ADD_FAILURE() << path << ":" << line << ": unparseable trace line";
+    return std::move(file.events);
 }
 
-// The deterministic-family comparison, matching trace_diff's contract: every
-// event and every field must agree exactly except wall-clock readings,
-// scheduling artifacts (waits) and store traffic (a shared warm store changes
-// where values come from, never what they are).
+// The `nautilus_trace inspect --check` invariants hold: no diagnostics.
+void expect_trace_consistent(const std::string& path)
+{
+    for (const obs::Diagnostic& d : obs::check_runs(obs::fold_runs(obs::load_trace(path))))
+        ADD_FAILURE() << path << ":" << d.line << ": " << d.text;
+}
+
+// The deterministic-family comparison, matching `nautilus_trace diff`'s
+// contract: every event and every field must agree exactly except
+// wall-clock readings, scheduling artifacts (waits) and store traffic (a
+// shared warm store changes where values come from, never what they are).
 void expect_traces_equal(const std::string& base_path, const std::string& cand_path)
 {
     // "attempts" counts evaluation-function invocations, which a store hit
@@ -93,8 +96,8 @@ void expect_traces_equal(const std::string& base_path, const std::string& cand_p
             if (ev.type != "job_summary") kept.push_back(std::move(ev));
         return kept;
     };
-    const auto base = strip_summaries(load_trace(base_path));
-    const auto cand = strip_summaries(load_trace(cand_path));
+    const auto base = strip_summaries(trace_events(base_path));
+    const auto cand = strip_summaries(trace_events(cand_path));
     ASSERT_EQ(base.size(), cand.size());
     for (std::size_t i = 0; i < base.size(); ++i) {
         EXPECT_EQ(base[i].type, cand[i].type) << "event " << i;
@@ -509,6 +512,8 @@ TEST_P(ServerDeterminism, ServerJobTraceMatchesStandaloneRun)
     }
 
     expect_traces_equal(ref.trace_path, scheduler.trace_path_for(target.id));
+    expect_trace_consistent(ref.trace_path);
+    expect_trace_consistent(scheduler.trace_path_for(target.id));
 }
 
 INSTANTIATE_TEST_SUITE_P(EnginesAndCaps, ServerDeterminism,
@@ -518,9 +523,10 @@ INSTANTIATE_TEST_SUITE_P(EnginesAndCaps, ServerDeterminism,
 
 // Budgeted jobs (random, SA, HC) close their server trace with a
 // job_summary that reconciles with the run's own run_end, exactly as
-// `trace_inspect --check` demands: distinct evals, store hits, retries and
-// fresh evals all agree, and the attempts rule closes.  A warm rerun over
-// the shared store makes the store-hit reconciliation non-trivial.
+// `nautilus_trace inspect --check` demands: distinct evals, store hits,
+// retries and fresh evals all agree, and the attempts rule closes.  A warm
+// rerun over the shared store makes the store-hit reconciliation
+// non-trivial.
 class BudgetedJobAccounting : public ::testing::TestWithParam<const char*> {
 };
 
@@ -547,7 +553,7 @@ TEST_P(BudgetedJobAccounting, JobSummaryReconcilesWithRunEnd)
 
         std::optional<obs::TraceEvent> run_end;
         std::optional<obs::TraceEvent> summary;
-        for (obs::TraceEvent& ev : load_trace(scheduler.trace_path_for(job.id))) {
+        for (obs::TraceEvent& ev : trace_events(scheduler.trace_path_for(job.id))) {
             if (ev.type == "run_end") run_end = std::move(ev);
             else if (ev.type == "job_summary") summary = std::move(ev);
         }
@@ -570,6 +576,7 @@ TEST_P(BudgetedJobAccounting, JobSummaryReconcilesWithRunEnd)
         EXPECT_EQ(hits, std::string{pass} == "warm" ? distinct : 0u);
         EXPECT_NE(scheduler.status_json(job.id).find("\"distinct_evals\":60,"),
                   std::string::npos);
+        expect_trace_consistent(scheduler.trace_path_for(job.id));
     }
 }
 
@@ -754,7 +761,7 @@ TEST(JobServerTelemetry, RequestIdJoinsAccessLogServerLogAndTrace)
 
     // Join plane 3: the trace's run_start carries the same identity, and the
     // job_summary epilogue is present and tagged too.
-    const auto trace = load_trace(scheduler->trace_path_for(job_id));
+    const auto trace = trace_events(scheduler->trace_path_for(job_id));
     bool run_start_joined = false;
     bool summary_joined = false;
     for (const auto& ev : trace) {

@@ -23,8 +23,9 @@
 //   --workers N                 threads for population evaluation (default 1;
 //                               results are identical for any worker count)
 //   --trace PATH                write a structured JSONL trace of the run
-//                               (inspect with trace_inspect; includes birth
-//                               and lineage_summary events, see lineage_report)
+//                               (read with `nautilus_trace inspect`; includes
+//                               birth and lineage_summary events, see
+//                               `nautilus_trace lineage`)
 //   --lineage                   track search lineage live (hint-class
 //                               attribution) and print an efficacy summary at
 //                               the end; also feeds the /lineage endpoint
