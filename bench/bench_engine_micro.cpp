@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -53,13 +55,10 @@ void bm_mutation_baseline(benchmark::State& state)
 {
     const auto space = bench_space();
     const HintSet hints = HintSet::none(space);
-    MutationContext ctx;
-    ctx.space = &space;
-    ctx.hints = &hints;
-    ctx.mutation_rate = 0.1;
+    BreedContext ctx{space, hints, 0.1};
     Rng rng{2};
     Genome g = Genome::random(space, rng);
-    for (auto _ : state) benchmark::DoNotOptimize(mutate(g, ctx, rng));
+    for (auto _ : state) benchmark::DoNotOptimize(ctx.mutate(g, rng));
 }
 BENCHMARK(bm_mutation_baseline);
 
@@ -72,13 +71,10 @@ void bm_mutation_guided(benchmark::State& state)
         hints.param(i).bias = 0.5;
     }
     hints.set_confidence(0.8);
-    MutationContext ctx;
-    ctx.space = &space;
-    ctx.hints = &hints;
-    ctx.mutation_rate = 0.1;
+    BreedContext ctx{space, hints, 0.1};
     Rng rng{3};
     Genome g = Genome::random(space, rng);
-    for (auto _ : state) benchmark::DoNotOptimize(mutate(g, ctx, rng));
+    for (auto _ : state) benchmark::DoNotOptimize(ctx.mutate(g, rng));
 }
 BENCHMARK(bm_mutation_guided);
 
@@ -86,16 +82,18 @@ void bm_crossover(benchmark::State& state)
 {
     const auto space = bench_space();
     Rng rng{4};
-    const Genome a = Genome::random(space, rng);
-    const Genome b = Genome::random(space, rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(crossover(a, b, CrossoverKind::single_point, rng));
+    Genome a = Genome::random(space, rng);
+    Genome b = Genome::random(space, rng);
+    for (auto _ : state) {
+        crossover(a.genes_mut(), b.genes_mut(), CrossoverKind::single_point, rng);
+        benchmark::DoNotOptimize(a.genes().data());
+        benchmark::ClobberMemory();
+    }
 }
 BENCHMARK(bm_crossover);
 
-// One breed phase (select + crossover + mutate, population 10) through the
-// preserved scalar reference path vs. the data-oriented BreedContext.  Same
-// seed, same hints: the work is identical, only the implementation differs.
+// One breed phase (select + crossover + mutate, population 10) through
+// BreedContext, on a guided 9-gene space.
 struct BreedBenchSetup {
     ParameterSpace space;
     HintSet hints;
@@ -121,19 +119,6 @@ struct BreedBenchSetup {
         }
     }
 };
-
-void bm_breed_scalar(benchmark::State& state)
-{
-    BreedBenchSetup setup;
-    Rng rng{8};
-    std::size_t gen = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(breed_population_scalar(
-            setup.population, setup.fitness, setup.config, setup.space, setup.hints,
-            0.1, gen++ % 80, rng, false));
-    }
-}
-BENCHMARK(bm_breed_scalar);
 
 void bm_breed_dataop(benchmark::State& state)
 {
@@ -478,9 +463,9 @@ int write_obs_bench(const std::string& path)
 // `--engine-json PATH` measures the breeding hot path on the paper-scale NoC
 // GA configuration (router space, population 10, strong guidance, roulette
 // selection -- the GaConfig defaults) and writes the flat artifact documented
-// in EXPERIMENTS.md (`nautilus-bench-engine/1`).  `--engine-baseline FILE`
+// in EXPERIMENTS.md (`nautilus-bench-engine/2`).  `--engine-baseline FILE`
 // compares against a committed artifact; `--max-breed-drop PCT` turns that
-// comparison into a gate on data-oriented breed throughput.
+// comparison into a gate on breed throughput.
 
 // Median-of-3 wall time of `f()` run `reps` times.
 template <typename F>
@@ -540,32 +525,22 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
     const std::size_t children_per_gen =
         breed_cfg.population_size - breed_cfg.elitism;
 
-    // 1) Breed-phase throughput, scalar reference vs. data-oriented.
+    // 1) Breed-phase throughput.
     constexpr int kBreedReps = 400;  // x kGenerations breed phases each
-    auto scalar_pop = population;
-    Rng scalar_rng{9};
-    const double scalar_seconds = median_seconds(
-        [&] {
-            for (std::size_t g = 0; g < kGenerations; ++g)
-                breed_population_scalar(scalar_pop, fitness, breed_cfg, space, hints,
-                                        kMutationRate, g, scalar_rng, false);
-        },
-        kBreedReps);
-    auto dataop_pop = population;
-    Rng dataop_rng{9};
+    auto breed_pop = population;
+    Rng breed_rng{9};
     BreedContext breed_ctx{space, hints, kMutationRate};
-    const double dataop_seconds = median_seconds(
+    const double breed_seconds = median_seconds(
         [&] {
             for (std::size_t g = 0; g < kGenerations; ++g) {
                 breed_ctx.begin_generation(g);
-                breed_ctx.breed(dataop_pop, fitness, breed_cfg, dataop_rng, false);
+                breed_ctx.breed(breed_pop, fitness, breed_cfg, breed_rng, false);
             }
         },
         kBreedReps);
     const double total_children =
         static_cast<double>(kBreedReps) * kGenerations * children_per_gen;
-    const double scalar_children_per_s = total_children / scalar_seconds;
-    const double dataop_children_per_s = total_children / dataop_seconds;
+    const double children_per_s = total_children / breed_seconds;
     const double memo_probes = static_cast<double>(breed_ctx.dist_memo_hits() +
                                                    breed_ctx.dist_memo_misses());
     const double memo_hit_rate =
@@ -597,8 +572,8 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
     const double incremental_seconds = median_seconds(
         [&] { benchmark::DoNotOptimize(counter.measure(population)); }, kDiversityReps);
 
-    // 3) End-to-end guided GA wall time under both breed implementations
-    //    (cheap analytic evaluator, so the breed phase is visible).
+    // 3) End-to-end guided GA wall time (cheap analytic evaluator, so the
+    //    breed phase is visible).
     const EvalFn eval = [&gen](const Genome& g) {
         const auto metrics = gen.evaluate(g);
         return Evaluation{metrics.feasible,
@@ -607,48 +582,32 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
     constexpr int kGaReps = 10;
     GaConfig ga_cfg;
     ga_cfg.generations = kGenerations;
-    GaConfig ga_scalar_cfg = ga_cfg;
-    ga_scalar_cfg.scalar_breed = true;
-    const GaEngine ga_dataop{space, ga_cfg, Direction::maximize, eval, hints};
-    const GaEngine ga_scalar{space, ga_scalar_cfg, Direction::maximize, eval, hints};
+    const GaEngine ga{space, ga_cfg, Direction::maximize, eval, hints};
     std::uint64_t seed = 1;
-    const double ga_scalar_seconds = median_seconds(
-        [&] { benchmark::DoNotOptimize(ga_scalar.run(seed++)); }, kGaReps);
-    seed = 1;
-    const double ga_dataop_seconds = median_seconds(
-        [&] { benchmark::DoNotOptimize(ga_dataop.run(seed++)); }, kGaReps);
+    const double ga_seconds =
+        median_seconds([&] { benchmark::DoNotOptimize(ga.run(seed++)); }, kGaReps);
 
     std::ofstream out{path};
     if (!out) {
         std::fprintf(stderr, "bench_engine_micro: cannot write %s\n", path.c_str());
         return 1;
     }
-    char buf[1536];
+    char buf[1024];
     std::snprintf(buf, sizeof buf,
                   "{\n"
-                  "  \"schema\": \"nautilus-bench-engine/1\",\n"
+                  "  \"schema\": \"nautilus-bench-engine/2\",\n"
                   "  \"population\": %zu,\n"
                   "  \"genes\": %zu,\n"
                   "  \"generations_per_rep\": %zu,\n"
-                  "  \"breed_scalar_children_per_second\": %.0f,\n"
                   "  \"breed_dataop_children_per_second\": %.0f,\n"
-                  "  \"breed_speedup\": %.2f,\n"
                   "  \"dist_memo_hit_rate\": %.4f,\n"
                   "  \"diversity_pairwise_us\": %.3f,\n"
                   "  \"diversity_incremental_us\": %.3f,\n"
-                  "  \"ga_run_scalar_seconds\": %.6f,\n"
-                  "  \"ga_run_dataop_seconds\": %.6f,\n"
-                  "  \"ga_run_speedup\": %.3f\n"
+                  "  \"ga_run_dataop_seconds\": %.6f\n"
                   "}\n",
-                  breed_cfg.population_size, space.size(), kGenerations,
-                  scalar_children_per_s, dataop_children_per_s,
-                  scalar_children_per_s > 0.0
-                      ? dataop_children_per_s / scalar_children_per_s
-                      : 0.0,
+                  breed_cfg.population_size, space.size(), kGenerations, children_per_s,
                   memo_hit_rate, pairwise_seconds / kDiversityReps * 1e6,
-                  incremental_seconds / kDiversityReps * 1e6, ga_scalar_seconds,
-                  ga_dataop_seconds,
-                  ga_dataop_seconds > 0.0 ? ga_scalar_seconds / ga_dataop_seconds : 0.0);
+                  incremental_seconds / kDiversityReps * 1e6, ga_seconds);
     out << buf;
     std::printf("%s", buf);
     std::printf("bench_engine_micro: wrote %s\n", path.c_str());
@@ -672,11 +631,10 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
                          baseline_path.c_str());
             return 1;
         }
-        const double drop_pct =
-            (1.0 - dataop_children_per_s / baseline_children_per_s) * 100.0;
-        std::printf("bench_engine_micro: dataop breed throughput vs baseline: "
+        const double drop_pct = (1.0 - children_per_s / baseline_children_per_s) * 100.0;
+        std::printf("bench_engine_micro: breed throughput vs baseline: "
                     "%+.1f%% (%.0f -> %.0f children/s)\n",
-                    -drop_pct, baseline_children_per_s, dataop_children_per_s);
+                    -drop_pct, baseline_children_per_s, children_per_s);
         if (max_breed_drop_pct >= 0.0 && drop_pct > max_breed_drop_pct) {
             std::fprintf(stderr,
                          "bench_engine_micro: FAIL breed throughput dropped %.1f%% "
@@ -688,6 +646,33 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
     return 0;
 }
 
+// Value of the artifact flag at argv[i]; a missing value exits 2 rather than
+// leaving the flag for google-benchmark to misread.
+const char* flag_value(int argc, char** argv, int& i)
+{
+    if (i + 1 >= argc) {
+        std::fprintf(stderr, "missing value for %s\n", argv[i]);
+        std::exit(2);
+    }
+    return argv[++i];
+}
+
+// The whole token must parse as a finite number, as in nautilus_cli.
+double parse_number(const char* flag, const char* text)
+{
+    try {
+        const std::string s{text};
+        std::size_t pos = 0;
+        const double v = std::stod(s, &pos);
+        if (pos == s.size() && std::isfinite(v)) return v;
+    }
+    catch (const std::exception&) {
+    }
+    std::fprintf(stderr, "invalid value '%s' for %s (expected a finite number)\n", text,
+                 flag);
+    std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv)
@@ -697,14 +682,15 @@ int main(int argc, char** argv)
     double max_breed_drop = -1.0;
     int out_argc = 1;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--obs-json") == 0 && i + 1 < argc)
-            obs_json = argv[++i];
-        else if (std::strcmp(argv[i], "--engine-json") == 0 && i + 1 < argc)
-            engine_json = argv[++i];
-        else if (std::strcmp(argv[i], "--engine-baseline") == 0 && i + 1 < argc)
-            engine_baseline = argv[++i];
-        else if (std::strcmp(argv[i], "--max-breed-drop") == 0 && i + 1 < argc)
-            max_breed_drop = std::stod(argv[++i]);
+        const char* arg = argv[i];
+        if (std::strcmp(arg, "--obs-json") == 0)
+            obs_json = flag_value(argc, argv, i);
+        else if (std::strcmp(arg, "--engine-json") == 0)
+            engine_json = flag_value(argc, argv, i);
+        else if (std::strcmp(arg, "--engine-baseline") == 0)
+            engine_baseline = flag_value(argc, argv, i);
+        else if (std::strcmp(arg, "--max-breed-drop") == 0)
+            max_breed_drop = parse_number(arg, flag_value(argc, argv, i));
         else
             argv[out_argc++] = argv[i];
     }

@@ -1,8 +1,6 @@
 #include "core/breed.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -10,91 +8,12 @@ namespace nautilus {
 
 namespace {
 
-// Mirrors selection.cpp's k_roulette_floor; the table must reproduce the
-// per-call roulette weights bit for bit.
-constexpr double k_roulette_floor = 0.45;
-
 // Domains up to this cardinality get a per-(param, current) distribution
 // memo; larger domains fall back to a reusable scratch buffer (the memo
 // would cost O(cardinality^2) doubles per parameter).
 constexpr std::size_t k_dist_memo_max_cardinality = 256;
 
 }  // namespace
-
-// --- SelectionTable --------------------------------------------------------
-
-void SelectionTable::rebuild(std::span<const double> fitness, const SelectionConfig& config)
-{
-    if (fitness.empty()) throw std::invalid_argument("select_parent: empty population");
-    if (config.rank_pressure < 1.0 || config.rank_pressure > 2.0)
-        throw std::invalid_argument("select_parent: rank_pressure out of [1, 2]");
-    config_ = config;
-    n_ = fitness.size();
-    uniform_fallback_ = false;
-
-    switch (config_.kind) {
-    case SelectionKind::rank: {
-        if (n_ == 1) break;  // select() returns 0 without consuming RNG
-        rank_order_into(order_, fitness);
-        // Linear ranking: best rank r=0 gets weight `pressure`, worst gets
-        // 2 - pressure, interpolating linearly (same arithmetic as
-        // selection.cpp's select_rank).
-        const double pressure = config_.rank_pressure;
-        weights_.resize(n_);
-        for (std::size_t r = 0; r < n_; ++r) {
-            const double frac = static_cast<double>(r) / static_cast<double>(n_ - 1);
-            weights_[r] = pressure + ((2.0 - pressure) - pressure) * frac;
-        }
-        break;
-    }
-    case SelectionKind::tournament:
-        fitness_.assign(fitness.begin(), fitness.end());
-        break;
-    case SelectionKind::roulette: {
-        double lo = std::numeric_limits<double>::infinity();
-        double hi = -std::numeric_limits<double>::infinity();
-        for (double f : fitness) {
-            if (!std::isfinite(f)) continue;
-            lo = std::min(lo, f);
-            hi = std::max(hi, f);
-        }
-        if (!std::isfinite(lo)) {
-            uniform_fallback_ = true;  // entire population infeasible
-            break;
-        }
-        const double span = hi - lo;
-        const double floor_weight = span > 0.0 ? span * k_roulette_floor : 1.0;
-        weights_.assign(n_, 0.0);
-        for (std::size_t i = 0; i < n_; ++i)
-            if (std::isfinite(fitness[i])) weights_[i] = (fitness[i] - lo) + floor_weight;
-        break;
-    }
-    }
-}
-
-std::size_t SelectionTable::select(Rng& rng) const
-{
-    if (n_ == 0) throw std::logic_error("SelectionTable::select before rebuild");
-    switch (config_.kind) {
-    case SelectionKind::rank: {
-        if (n_ == 1) return 0;
-        const std::size_t pick = rng.weighted_index(weights_);
-        return order_[pick];
-    }
-    case SelectionKind::tournament: {
-        std::size_t best = rng.index(n_);
-        for (std::size_t i = 1; i < std::max<std::size_t>(config_.tournament_size, 1); ++i) {
-            const std::size_t challenger = rng.index(n_);
-            if (fitness_[challenger] > fitness_[best]) best = challenger;
-        }
-        return best;
-    }
-    case SelectionKind::roulette:
-        if (uniform_fallback_) return rng.index(n_);
-        return rng.weighted_index(weights_);
-    }
-    throw std::logic_error("select_parent: unknown selection kind");
-}
 
 // --- GeneMatrix ------------------------------------------------------------
 
@@ -116,45 +35,6 @@ void GeneMatrix::load(std::span<const Genome> population)
     }
 }
 
-// --- crossover on views ----------------------------------------------------
-
-void crossover_views(std::span<std::uint32_t> a, std::span<std::uint32_t> b,
-                     CrossoverKind kind, Rng& rng, std::vector<std::uint8_t>* swapped)
-{
-    if (a.size() != b.size() || a.empty())
-        throw std::invalid_argument("crossover: parents must have equal nonzero size");
-    const std::size_t n = a.size();
-    if (swapped != nullptr) swapped->assign(n, 0);
-
-    auto swap_range = [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            std::swap(a[i], b[i]);
-            if (swapped != nullptr) (*swapped)[i] = 1;
-        }
-    };
-
-    switch (kind) {
-    case CrossoverKind::single_point: {
-        if (n > 1) swap_range(1 + rng.index(n - 1), n);
-        break;
-    }
-    case CrossoverKind::two_point: {
-        if (n > 1) {
-            std::size_t p = 1 + rng.index(n - 1);
-            std::size_t q = 1 + rng.index(n);
-            if (p > q) std::swap(p, q);
-            swap_range(p, q);
-        }
-        break;
-    }
-    case CrossoverKind::uniform: {
-        for (std::size_t i = 0; i < n; ++i)
-            if (rng.bernoulli(0.5)) swap_range(i, i + 1);
-        break;
-    }
-    }
-}
-
 // --- BreedContext ----------------------------------------------------------
 
 BreedContext::BreedContext(const ParameterSpace& space, const HintSet& hints,
@@ -162,9 +42,9 @@ BreedContext::BreedContext(const ParameterSpace& space, const HintSet& hints,
     : space_(space), hints_(hints), mutation_rate_(mutation_rate)
 {
     if (hints_.size() != space_.size())
-        throw std::invalid_argument("MutationContext: hints/space size mismatch");
+        throw std::invalid_argument("BreedContext: hints/space size mismatch");
     if (mutation_rate_ < 0.0 || mutation_rate_ > 1.0)
-        throw std::invalid_argument("MutationContext: mutation_rate out of [0, 1]");
+        throw std::invalid_argument("BreedContext: mutation_rate out of [0, 1]");
 
     const std::size_t n = space_.size();
     card_.resize(n);
@@ -264,6 +144,28 @@ std::size_t BreedContext::mutate(Genome& genome, Rng& rng, MutationStats* stats,
     return mutate(genome.genes_mut(), rng, stats, origins);
 }
 
+bool BreedContext::breed_pair(std::span<std::uint32_t> a, std::span<std::uint32_t> b,
+                              double crossover_rate, CrossoverKind kind, Rng& rng,
+                              bool mutate_b, MutationStats* stats, obs::GeneOrigin* origins_a,
+                              obs::GeneOrigin* origins_b)
+{
+    const bool capture = origins_a != nullptr || origins_b != nullptr;
+    const bool crossed = rng.bernoulli(crossover_rate);
+    if (crossed) crossover(a, b, kind, rng, capture ? &swap_mask_ : nullptr);
+    if (capture) {
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            const obs::GeneOrigin origin = crossed && swap_mask_[i] != 0
+                                               ? obs::GeneOrigin::parent_b
+                                               : obs::GeneOrigin::parent_a;
+            if (origins_a != nullptr) origins_a[i] = origin;
+            if (origins_b != nullptr) origins_b[i] = origin;
+        }
+    }
+    mutate(a, rng, stats, origins_a);
+    if (mutate_b) mutate(b, rng, stats, origins_b);
+    return crossed;
+}
+
 BreedStats BreedContext::breed(std::vector<Genome>& population,
                                std::span<const double> fitness, const BreedConfig& config,
                                Rng& rng, bool with_stats, BirthLog* births)
@@ -282,10 +184,8 @@ BreedStats BreedContext::breed(std::vector<Genome>& population,
     table_.rebuild(fitness, config.selection);
     parents_.load(population);
     // One spare row past the population receives the odd-man-out second
-    // child when the population fills mid-pair (the scalar path constructs
-    // and discards it; the draw sequence ends before its mutation, so the
-    // spare is written but never mutated or kept -- and gets no birth log
-    // entry).
+    // child when the population fills mid-pair: it takes part in crossover
+    // but is never mutated or kept, and gets no birth log entry.
     children_.reset(pop + 1, genes);
 
     // Elitism: carry the best `elitism` members unchanged.
@@ -310,46 +210,29 @@ BreedStats BreedContext::breed(std::vector<Genome>& population,
             std::copy(pa_row.begin(), pa_row.end(), a.begin());
             std::copy(pb_row.begin(), pb_row.end(), b.begin());
         }
-        bool crossed = false;
-        if (rng.bernoulli(config.crossover_rate)) {
-            crossover_views(a, b, config.crossover, rng,
-                            births != nullptr ? &swap_mask_ : nullptr);
-            ++stats.crossovers;
-            crossed = true;
-        }
-        else if (births != nullptr) {
-            swap_mask_.assign(genes, 0);
-        }
         obs::GeneOrigin* origins_a = nullptr;
         obs::GeneOrigin* origins_b = nullptr;
+        const std::size_t first_birth = births != nullptr ? births->children.size() : 0;
         if (births != nullptr) {
-            // Both entries are pushed before mutation so the vector cannot
-            // reallocate between taking the two origin pointers.
-            ChildProvenance prov;
-            prov.parent_a = static_cast<std::uint32_t>(pa);
-            prov.parent_b = static_cast<std::uint32_t>(pb);
-            prov.crossed = crossed;
-            prov.origins.resize(genes);
-            for (std::size_t i = 0; i < genes; ++i)
-                prov.origins[i] = swap_mask_[i] != 0 ? obs::GeneOrigin::parent_b
-                                                     : obs::GeneOrigin::parent_a;
-            const std::size_t ia = births->children.size();
-            births->children.push_back(prov);
-            if (keep_b) {
-                // Child B starts as a copy of pb; the same swapped genes came
-                // from its crossover partner pa.
-                std::swap(prov.parent_a, prov.parent_b);
-                births->children.push_back(std::move(prov));
-                origins_b = births->children.back().origins.data();
-            }
-            origins_a = births->children[ia].origins.data();
+            // Both entries are pushed before taking the origin pointers so
+            // the vector cannot reallocate in between.  Child B starts as a
+            // copy of pb; the genes crossover exchanges came from pa.
+            const auto ua = static_cast<std::uint32_t>(pa);
+            const auto ub = static_cast<std::uint32_t>(pb);
+            births->children.push_back({ua, ub, false, std::vector<obs::GeneOrigin>(genes)});
+            if (keep_b)
+                births->children.push_back(
+                    {ub, ua, false, std::vector<obs::GeneOrigin>(genes)});
+            origins_a = births->children[first_birth].origins.data();
+            if (keep_b) origins_b = births->children.back().origins.data();
         }
-        mutate(a, rng, ms, origins_a);
-        ++filled;
-        if (filled < pop) {
-            mutate(b, rng, ms, origins_b);
-            ++filled;
-        }
+        const bool crossed = breed_pair(a, b, config.crossover_rate, config.crossover, rng,
+                                        keep_b, ms, origins_a, origins_b);
+        if (crossed) ++stats.crossovers;
+        if (births != nullptr)
+            for (std::size_t k = first_birth; k < births->children.size(); ++k)
+                births->children[k].crossed = crossed;
+        filled += keep_b ? 2 : 1;
     }
 
     for (std::size_t i = 0; i < pop; ++i) {
@@ -357,88 +240,6 @@ BreedStats BreedContext::breed(std::vector<Genome>& population,
         const std::span<std::uint32_t> dst = population[i].genes_mut();
         std::copy(src.begin(), src.end(), dst.begin());
     }
-    return stats;
-}
-
-// --- Scalar reference path -------------------------------------------------
-
-BreedStats breed_population_scalar(std::vector<Genome>& population,
-                                   std::span<const double> fitness,
-                                   const BreedConfig& config, const ParameterSpace& space,
-                                   const HintSet& hints, double mutation_rate,
-                                   std::size_t generation, Rng& rng, bool with_stats,
-                                   BirthLog* births)
-{
-    BreedStats stats;
-    std::vector<Genome> next;
-    next.reserve(config.population_size);
-    if (births != nullptr) births->clear();
-
-    // Elitism: carry the best `elitism` members unchanged.
-    const std::vector<std::size_t> order = rank_order(fitness);
-    for (std::size_t e = 0; e < config.elitism; ++e) {
-        next.push_back(population[order[e]]);
-        if (births != nullptr)
-            births->elites.push_back(static_cast<std::uint32_t>(order[e]));
-    }
-
-    MutationContext ctx;
-    ctx.space = &space;
-    ctx.hints = &hints;
-    ctx.mutation_rate = mutation_rate;
-    ctx.generation = generation;
-    if (with_stats) ctx.stats = &stats.mutation;
-
-    std::vector<std::uint8_t> swap_mask;
-    while (next.size() < config.population_size) {
-        const std::size_t pa = select_parent(fitness, config.selection, rng);
-        const std::size_t pb = select_parent(fitness, config.selection, rng);
-        Genome child_a = population[pa];
-        Genome child_b = population[pb];
-        const std::size_t genes = child_a.size();
-        bool crossed = false;
-        if (rng.bernoulli(config.crossover_rate)) {
-            auto [xa, xb] = crossover(child_a, child_b, config.crossover, rng,
-                                      births != nullptr ? &swap_mask : nullptr);
-            child_a = std::move(xa);
-            child_b = std::move(xb);
-            ++stats.crossovers;
-            crossed = true;
-        }
-        else if (births != nullptr) {
-            swap_mask.assign(genes, 0);
-        }
-        std::size_t ia = 0;
-        const bool keep_b = next.size() + 1 < config.population_size;
-        if (births != nullptr) {
-            ChildProvenance prov;
-            prov.parent_a = static_cast<std::uint32_t>(pa);
-            prov.parent_b = static_cast<std::uint32_t>(pb);
-            prov.crossed = crossed;
-            prov.origins.resize(genes);
-            for (std::size_t i = 0; i < genes; ++i)
-                prov.origins[i] = swap_mask[i] != 0 ? obs::GeneOrigin::parent_b
-                                                    : obs::GeneOrigin::parent_a;
-            ia = births->children.size();
-            births->children.push_back(prov);
-            if (keep_b) {
-                std::swap(prov.parent_a, prov.parent_b);
-                births->children.push_back(std::move(prov));
-            }
-        }
-        ctx.origins =
-            births != nullptr ? births->children[ia].origins.data() : nullptr;
-        mutate(child_a, ctx, rng);
-        next.push_back(std::move(child_a));
-        if (next.size() < config.population_size) {
-            ctx.origins =
-                births != nullptr ? births->children[ia + 1].origins.data() : nullptr;
-            mutate(child_b, ctx, rng);
-            next.push_back(std::move(child_b));
-        }
-    }
-    ctx.origins = nullptr;
-    population = std::move(next);
     return stats;
 }
 

@@ -1,35 +1,26 @@
 #pragma once
 // Data-oriented breeding core (DESIGN.md section 10).
 //
-// The GA breed loop historically paid three per-child costs that are
-// invariant within a generation:
-//  * rank selection re-sorted the population and rebuilt its weight table on
-//    every parent pick (~2 sorts per child),
-//  * mutate() recomputed the per-gene mutation probabilities per child even
-//    though they only depend on the generation (importance decay),
-//  * value_distribution() heap-allocated three vectors per mutated gene.
-//
-// This header hoists all of that into per-generation state with reusable
-// scratch buffers:
-//  * SelectionTable  -- per-generation selection state (rank order + weights,
-//    roulette weights, tournament fitness copy); select() replicates
-//    select_parent() draw for draw.
+// Everything a breed phase needs that is invariant within a generation is
+// hoisted into per-generation state with reusable scratch buffers:
+//  * SelectionTable (core/selection.hpp) -- rank order + weights, roulette
+//    weights, tournament fitness copy; one table per generation.
 //  * GeneMatrix      -- the population as one contiguous row-major gene
 //    matrix; each row is a genome view, so breeding touches one allocation
 //    instead of one heap vector per child.
 //  * BreedContext    -- per-run arena: hoisted gene mutation probabilities
 //    (rebuilt per generation), a cross-generation memo of
-//    value_distribution() results keyed (parameter, current value), and the
-//    matrices/scratch the breed loop writes into.  Steady-state breeding
-//    performs no per-child allocation.
+//    value_distribution() results keyed (parameter, current value), the
+//    pair step both the GA and NSGA-II breed through, and the matrices and
+//    scratch the GA breed loop writes into.  Steady-state breeding performs
+//    no per-child allocation.
 //  * DiversityCounter -- incremental O(pop * genes) reformulation of the mean
 //    pairwise normalized Hamming distance (was O(pop^2 * genes)).
 //
-// Determinism contract: breed() consumes the *identical* RNG draw sequence
-// as the scalar reference path (breed_population_scalar, the pre-refactor
-// loop preserved verbatim), so results are bit-for-bit identical.  What may
-// consume RNG and in which order is part of the public contract -- see
-// DESIGN.md section 10 before touching anything here.
+// Determinism contract: what may consume RNG and in which order is part of
+// the public contract -- a seed reproduces a run bit for bit, pinned by the
+// golden digests in tests/test_golden.cpp.  See DESIGN.md section 10 before
+// touching anything here.
 
 #include <cstddef>
 #include <cstdint>
@@ -44,30 +35,6 @@
 #include "core/selection.hpp"
 
 namespace nautilus {
-
-// Per-generation selection state.  rebuild() hoists everything a parent pick
-// needs that depends only on the population's fitness vector; select() then
-// replicates select_parent()'s RNG draw sequence exactly (including the
-// rank-selection n == 1 early return, which consumes no RNG).
-class SelectionTable {
-public:
-    // Validates like select_parent (empty population, rank_pressure range)
-    // and rebuilds the per-generation state.  Buffers are reused across
-    // calls.
-    void rebuild(std::span<const double> fitness, const SelectionConfig& config);
-
-    // One parent pick; draw-for-draw identical to
-    // select_parent(fitness, config, rng) on the rebuild() inputs.
-    std::size_t select(Rng& rng) const;
-
-private:
-    SelectionConfig config_{};
-    std::size_t n_ = 0;
-    std::vector<std::size_t> order_;   // rank: population sorted best-first
-    std::vector<double> weights_;      // rank / roulette pick weights
-    std::vector<double> fitness_;      // tournament comparisons
-    bool uniform_fallback_ = false;    // roulette: whole population infeasible
-};
 
 // The population as a contiguous row-major gene matrix.  Row r is the genome
 // view of member r; the breeding and diversity paths operate on these views
@@ -96,13 +63,6 @@ private:
     std::vector<std::uint32_t> data_;
 };
 
-// Crossover on genome views; identical RNG draws and gene movement as
-// crossover() on Genome copies of the same parents.  `swapped`, when
-// non-null, receives the shared exchanged-gene mask (see crossover()).
-void crossover_views(std::span<std::uint32_t> a, std::span<std::uint32_t> b,
-                     CrossoverKind kind, Rng& rng,
-                     std::vector<std::uint8_t>* swapped = nullptr);
-
 // Per-child provenance captured during one breed pass, in next-generation
 // fill order.  Parents are *population indices* of the outgoing generation;
 // the engine owns the mapping from slots to lineage birth ids.
@@ -113,9 +73,8 @@ struct ChildProvenance {
     std::vector<obs::GeneOrigin> origins;  // one entry per gene
 };
 
-// Zero-RNG-impact birth log filled by breed()/breed_population_scalar() when
-// requested.  Both paths produce identical logs at the same seed (part of
-// the DESIGN.md section 10 bit-exactness contract, gated by tests).
+// Zero-RNG-impact birth log filled by breed() when requested: recording it
+// never changes what the breed phase draws (DESIGN.md section 10).
 struct BirthLog {
     std::vector<std::uint32_t> elites;      // population indices carried unchanged
     std::vector<ChildProvenance> children;  // elites.size() + children.size() == pop
@@ -157,17 +116,32 @@ public:
     std::size_t generation() const { return generation_; }
 
     // Hint-aware mutation with hoisted probabilities and memoized value
-    // distributions; RNG draws identical to mutate(genome, ctx, rng) with a
-    // MutationContext of the same space/hints/rate/generation.  `origins`
-    // (optional, one slot per gene) gets each mutated gene's draw class.
+    // distributions; returns the number of genes changed.  Each gene mutates
+    // with its gene_probs() probability to a value drawn from distribution().
+    // `origins` (optional, one slot per gene) gets each mutated gene's draw
+    // class.
     std::size_t mutate(std::span<std::uint32_t> genes, Rng& rng,
                        MutationStats* stats = nullptr,
                        obs::GeneOrigin* origins = nullptr);
     std::size_t mutate(Genome& genome, Rng& rng, MutationStats* stats = nullptr,
                        obs::GeneOrigin* origins = nullptr);
 
-    // Breed the next generation in place (elites + select/crossover/mutate),
-    // consuming the identical RNG sequence as breed_population_scalar().
+    // One breeding pair, the step the GA and NSGA-II breed loops share.  `a`
+    // and `b` hold copies of parents A and B.  Draws, in order:
+    // bernoulli(crossover_rate); on success the crossover draws (a and b
+    // crossed in place); the mutation of a; the mutation of b when
+    // `mutate_b`.  `origins_a`/`origins_b` (optional, one slot per gene)
+    // receive each child's gene origins at zero RNG cost: parent_a for genes
+    // the child kept, parent_b for genes crossover exchanged, then the draw
+    // class of every mutated gene.  Returns whether crossover happened.
+    bool breed_pair(std::span<std::uint32_t> a, std::span<std::uint32_t> b,
+                    double crossover_rate, CrossoverKind kind, Rng& rng, bool mutate_b,
+                    MutationStats* stats = nullptr, obs::GeneOrigin* origins_a = nullptr,
+                    obs::GeneOrigin* origins_b = nullptr);
+
+    // Breed the next generation in place: the `elitism` best members carried
+    // unchanged, then select, select, breed_pair until the population is
+    // full (an odd last child's partner is neither mutated nor kept).
     // `population` must have config.population_size members compatible with
     // the space; it is overwritten with the children.  `births` (optional)
     // is cleared and filled with per-child provenance at zero RNG cost.
@@ -215,18 +189,8 @@ private:
     GeneMatrix parents_;
     GeneMatrix children_;                  // population_size rows + 1 spare
     std::vector<std::size_t> elite_order_;
-    std::vector<std::uint8_t> swap_mask_;  // crossover capture scratch
+    std::vector<std::uint8_t> swap_mask_;  // breed_pair crossover capture scratch
 };
-
-// The pre-refactor GA breed loop, preserved verbatim as the bit-exactness
-// reference (GaConfig::scalar_breed routes here).  Overwrites `population`
-// with the next generation and returns what it did.
-BreedStats breed_population_scalar(std::vector<Genome>& population,
-                                   std::span<const double> fitness,
-                                   const BreedConfig& config, const ParameterSpace& space,
-                                   const HintSet& hints, double mutation_rate,
-                                   std::size_t generation, Rng& rng, bool with_stats,
-                                   BirthLog* births = nullptr);
 
 // Incremental mean pairwise normalized Hamming distance: feed each genome
 // once (O(genes) per add via per-gene value counts), read value() at any

@@ -209,8 +209,7 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
 
     // Per-run breeding arena (DESIGN.md section 10): hoisted selection
     // tables, per-generation gene mutation probabilities and memoized value
-    // distributions.  The pre-refactor per-call path stays available behind
-    // config_.scalar_breed; both consume the identical RNG sequence.
+    // distributions.
     BreedConfig breed_cfg;
     breed_cfg.selection = config_.selection;
     breed_cfg.crossover = config_.crossover;
@@ -308,16 +307,9 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
         BirthLog* births = lineage.has_value() ? &birth_log : nullptr;
         {
             obs::ScopedTimer breed_span{tracer, "ga.breed"};
-            if (config_.scalar_breed) {
-                breed_stats = breed_population_scalar(population, fitness, breed_cfg,
-                                                      space_, hints_, config_.mutation_rate,
-                                                      gen, rng, tracer.enabled(), births);
-            }
-            else {
-                breed_ctx.begin_generation(gen);
-                breed_stats = breed_ctx.breed(population, fitness, breed_cfg, rng,
-                                              tracer.enabled(), births);
-            }
+            breed_ctx.begin_generation(gen);
+            breed_stats = breed_ctx.breed(population, fitness, breed_cfg, rng,
+                                          tracer.enabled(), births);
         }
         if (births != nullptr) {
             // Remap population slots to the newborn generation's birth ids.

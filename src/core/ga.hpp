@@ -39,15 +39,6 @@ struct GaConfig : EvalPipelineConfig, CheckpointConfig {
     std::size_t elitism = 1;            // best members copied unchanged
     std::uint64_t seed = 1;
 
-    // Route breeding through the pre-refactor per-call scalar path instead
-    // of the data-oriented BreedContext (core/breed.hpp).  Both paths
-    // consume the identical RNG sequence and produce bit-for-bit identical
-    // results (CI gates this with `nautilus_trace diff` on identical
-    // seeds), so the flag is deliberately excluded from config_fingerprint:
-    // a checkpoint may resume under either path.  Kept as the reference implementation
-    // during the transition; `nautilus_cli --scalar-breed` exposes it.
-    bool scalar_breed = false;
-
     // Early termination.  The paper's usage scenario wants "a good design
     // point that is within some threshold of what the IP generator can
     // offer" -- once that is met, further synthesis jobs are waste.

@@ -290,8 +290,8 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
     }
 
     // Per-run breeding arena: hoisted per-generation gene mutation
-    // probabilities and memoized value distributions (core/breed.hpp); the
-    // RNG draw sequence is identical to the per-call mutate() path.
+    // probabilities, memoized value distributions and the pair step the GA
+    // breeds through too (core/breed.hpp).
     MutationStats mut_stats;
     MutationStats* mut_stats_ptr = tracer.enabled() ? &mut_stats : nullptr;
     BreedContext breed_ctx{space_, hints_, config_.mutation_rate};
@@ -338,9 +338,6 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
         const std::size_t attempt_cap = config_.population_size * 50;
         std::vector<Genome> brood;
         std::vector<std::uint64_t> brood_ids;
-        std::vector<std::uint8_t> swap_mask;
-        std::vector<obs::GeneOrigin> origins_a;
-        std::vector<obs::GeneOrigin> origins_b;
         while (offspring.size() < config_.population_size && attempts < attempt_cap) {
             const std::size_t need = config_.population_size - offspring.size();
             const std::size_t pairs = std::min((need + 1) / 2, attempt_cap - attempts);
@@ -350,42 +347,25 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
             for (std::size_t p = 0; p < pairs; ++p) {
                 const std::size_t pa = select();
                 const std::size_t pb = select();
-                Genome child_a = population[pa].genome;
-                Genome child_b = population[pb].genome;
-                const bool crossed = rng.bernoulli(config_.crossover_rate);
-                if (crossed) {
-                    auto [xa, xb] =
-                        crossover(child_a, child_b, config_.crossover, rng,
-                                  lineage.has_value() ? &swap_mask : nullptr);
-                    child_a = std::move(xa);
-                    child_b = std::move(xb);
-                }
+                brood.push_back(population[pa].genome);
+                brood.push_back(population[pb].genome);
+                std::vector<obs::GeneOrigin> origins_a;
+                std::vector<obs::GeneOrigin> origins_b;
                 if (lineage.has_value()) {
-                    const std::size_t genes = child_a.size();
-                    origins_a.assign(genes, obs::GeneOrigin::parent_a);
-                    origins_b.assign(genes, obs::GeneOrigin::parent_a);
-                    if (crossed) {
-                        for (std::size_t i = 0; i < genes; ++i) {
-                            if (swap_mask[i] == 0) continue;
-                            origins_a[i] = obs::GeneOrigin::parent_b;
-                            origins_b[i] = obs::GeneOrigin::parent_b;
-                        }
-                    }
-                    breed_ctx.mutate(child_a, rng, mut_stats_ptr, origins_a.data());
-                    breed_ctx.mutate(child_b, rng, mut_stats_ptr, origins_b.data());
-                    brood_ids.push_back(lineage->on_child(
-                        pop_ids[pa], pop_ids[pb], crossed, gen,
-                        std::vector<obs::GeneOrigin>{origins_a}));
-                    brood_ids.push_back(lineage->on_child(
-                        pop_ids[pb], pop_ids[pa], crossed, gen,
-                        std::vector<obs::GeneOrigin>{origins_b}));
+                    origins_a.resize(space_.size());
+                    origins_b.resize(space_.size());
                 }
-                else {
-                    breed_ctx.mutate(child_a, rng, mut_stats_ptr);
-                    breed_ctx.mutate(child_b, rng, mut_stats_ptr);
+                const bool crossed = breed_ctx.breed_pair(
+                    brood[brood.size() - 2].genes_mut(), brood.back().genes_mut(),
+                    config_.crossover_rate, config_.crossover, rng, true, mut_stats_ptr,
+                    lineage.has_value() ? origins_a.data() : nullptr,
+                    lineage.has_value() ? origins_b.data() : nullptr);
+                if (lineage.has_value()) {
+                    brood_ids.push_back(lineage->on_child(pop_ids[pa], pop_ids[pb], crossed,
+                                                          gen, std::move(origins_a)));
+                    brood_ids.push_back(lineage->on_child(pop_ids[pb], pop_ids[pa], crossed,
+                                                          gen, std::move(origins_b)));
                 }
-                brood.push_back(std::move(child_a));
-                brood.push_back(std::move(child_b));
             }
             born += brood.size();
             wave_values.assign(brood.size(), ObjectiveValues{});

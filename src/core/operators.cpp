@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace nautilus {
 
@@ -175,44 +176,6 @@ std::vector<double> value_distribution(const ParamDomain& domain, const ParamHin
     return w;
 }
 
-std::size_t mutate(Genome& genome, const MutationContext& ctx, Rng& rng)
-{
-    check_context(ctx);
-    if (!genome.compatible_with(*ctx.space))
-        throw std::invalid_argument("mutate: genome incompatible with space");
-
-    const std::vector<double> probs = gene_mutation_probabilities(ctx);
-    std::size_t changed = 0;
-    if (ctx.stats != nullptr) ++ctx.stats->genomes;
-    for (std::size_t i = 0; i < genome.size(); ++i) {
-        if (!rng.bernoulli(probs[i])) continue;
-        const ParamDomain& domain = ctx.space->at(i).domain;
-        if (domain.cardinality() <= 1) continue;
-        const ParamHints& hints = ctx.hints->param(i);
-        const std::vector<double> dist =
-            value_distribution(domain, hints, ctx.hints->confidence(), genome.gene(i));
-        const std::size_t pick = rng.weighted_index(dist);
-        genome.set_gene(i, static_cast<std::uint32_t>(pick));
-        ++changed;
-        if (ctx.stats != nullptr || ctx.origins != nullptr) {
-            // Mirror value_distribution's choice of distribution.
-            const bool directed = ctx.hints->confidence() > 0.0 && domain.ordered() &&
-                                  (hints.bias || hints.target);
-            if (ctx.stats != nullptr) {
-                ++ctx.stats->genes_mutated;
-                if (!directed) ++ctx.stats->uniform_draws;
-                else if (hints.bias) ++ctx.stats->bias_draws;
-                else ++ctx.stats->target_draws;
-            }
-            if (ctx.origins != nullptr)
-                ctx.origins[i] = !directed     ? obs::GeneOrigin::uniform
-                                 : hints.bias ? obs::GeneOrigin::bias
-                                              : obs::GeneOrigin::target;
-        }
-    }
-    return changed;
-}
-
 const char* crossover_name(CrossoverKind kind)
 {
     switch (kind) {
@@ -223,21 +186,17 @@ const char* crossover_name(CrossoverKind kind)
     return "?";
 }
 
-std::pair<Genome, Genome> crossover(const Genome& a, const Genome& b, CrossoverKind kind,
-                                    Rng& rng, std::vector<std::uint8_t>* swapped)
+void crossover(std::span<std::uint32_t> a, std::span<std::uint32_t> b, CrossoverKind kind,
+               Rng& rng, std::vector<std::uint8_t>* swapped)
 {
     if (a.size() != b.size() || a.empty())
         throw std::invalid_argument("crossover: parents must have equal nonzero size");
     const std::size_t n = a.size();
-    Genome child_a = a;
-    Genome child_b = b;
     if (swapped != nullptr) swapped->assign(n, 0);
 
     auto swap_range = [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
-            const std::uint32_t tmp = child_a.gene(i);
-            child_a.set_gene(i, child_b.gene(i));
-            child_b.set_gene(i, tmp);
+            std::swap(a[i], b[i]);
             if (swapped != nullptr) (*swapped)[i] = 1;
         }
     };
@@ -266,7 +225,6 @@ std::pair<Genome, Genome> crossover(const Genome& a, const Genome& b, CrossoverK
         break;
     }
     }
-    return {std::move(child_a), std::move(child_b)};
 }
 
 std::size_t repair(Genome& genome, const ParameterSpace& space,

@@ -1,5 +1,7 @@
 #pragma once
-// Genetic operators: hint-aware mutation and crossover.
+// Genetic operator kernels: hint-aware mutation probabilities and value
+// distributions, and crossover.  BreedContext::mutate (core/breed.hpp)
+// applies the mutation kernels to a genome.
 //
 // The baseline behavior (HintSet::none) matches a PyEvolve-style integer GA:
 // each gene mutates independently with probability `mutation_rate` to a
@@ -14,7 +16,8 @@
 // confidence knob c:  guided = (1-c) * uniform + c * directed.
 
 #include <cstddef>
-#include <utility>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/genome.hpp"
@@ -31,7 +34,7 @@ namespace nautilus {
 // confidence 0).  Engines aggregate one of these per generation and emit it
 // in the "breed" trace event, making hint behavior auditable per run.
 struct MutationStats {
-    std::uint64_t genomes = 0;        // mutate() calls
+    std::uint64_t genomes = 0;        // genomes passed to mutation
     std::uint64_t genes_mutated = 0;  // genes actually changed
     std::uint64_t bias_draws = 0;
     std::uint64_t target_draws = 0;
@@ -40,17 +43,12 @@ struct MutationStats {
     void reset() { *this = MutationStats{}; }
 };
 
-// Everything mutation needs to know; cheap to construct per generation.
+// What the per-gene mutation probabilities depend on.
 struct MutationContext {
     const ParameterSpace* space = nullptr;
     const HintSet* hints = nullptr;  // already direction-folded
     double mutation_rate = 0.1;      // baseline per-gene probability
     std::size_t generation = 0;      // for importance decay
-    MutationStats* stats = nullptr;  // optional draw-outcome tally
-    // Optional per-gene origin capture (one slot per gene): each mutated
-    // gene's slot is overwritten with the draw class that set its value.
-    // Pure observation — never consumes RNG draws (DESIGN.md §11).
-    obs::GeneOrigin* origins = nullptr;
 };
 
 // Per-gene mutation probabilities for this generation.  With no hints every
@@ -75,22 +73,18 @@ void value_distribution_into(std::vector<double>& w, std::vector<double>& dir,
                              const ParamHints& hints, double confidence,
                              std::uint32_t current);
 
-// Mutate `genome` in place; returns the number of genes changed.
-std::size_t mutate(Genome& genome, const MutationContext& ctx, Rng& rng);
-
 enum class CrossoverKind { single_point, two_point, uniform };
 
 const char* crossover_name(CrossoverKind kind);
 
-// Produce two children from two parents.  Parents must have equal, nonzero
-// size.  single_point/two_point exchange contiguous gene runs; uniform picks
-// each gene from either parent with probability 1/2.  When `swapped` is
-// non-null it is resized to the gene count and entry i is set to 1 iff gene
-// i was exchanged (the mask is shared by both children); capturing it draws
-// nothing from the RNG.
-std::pair<Genome, Genome> crossover(const Genome& a, const Genome& b, CrossoverKind kind,
-                                    Rng& rng,
-                                    std::vector<std::uint8_t>* swapped = nullptr);
+// Cross two genomes in place: on return `a` and `b` are the two children.
+// The spans must have equal, nonzero size.  single_point/two_point exchange
+// contiguous gene runs; uniform exchanges each gene with probability 1/2.
+// When `swapped` is non-null it is resized to the gene count and entry i is
+// set to 1 iff gene i was exchanged (the mask is shared by both children);
+// capturing it draws nothing from the RNG.
+void crossover(std::span<std::uint32_t> a, std::span<std::uint32_t> b, CrossoverKind kind,
+               Rng& rng, std::vector<std::uint8_t>* swapped = nullptr);
 
 // Force `genome` back into `space`: truncate or zero-extend to the space's
 // parameter count and clamp every out-of-domain gene index to its domain's

@@ -5,9 +5,17 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <vector>
 
 namespace nautilus {
+
+namespace {
+
+// Weight floor of roulette selection relative to the population fitness
+// span: higher values weaken selection pressure.  0.45 calibrates the
+// engine's unguided convergence to PyEvolve-era baseline behavior.
+constexpr double k_roulette_floor = 0.45;
+
+}  // namespace
 
 const char* selection_name(SelectionKind kind)
 {
@@ -19,13 +27,6 @@ const char* selection_name(SelectionKind kind)
     return "?";
 }
 
-std::vector<std::size_t> rank_order(std::span<const double> fitness)
-{
-    std::vector<std::size_t> order;
-    rank_order_into(order, fitness);
-    return order;
-}
-
 void rank_order_into(std::vector<std::size_t>& order, std::span<const double> fitness)
 {
     order.resize(fitness.size());
@@ -34,78 +35,78 @@ void rank_order_into(std::vector<std::size_t>& order, std::span<const double> fi
                      [&](std::size_t a, std::size_t b) { return fitness[a] > fitness[b]; });
 }
 
-namespace {
-
-// Weight floor of roulette selection relative to the population fitness
-// span: higher values weaken selection pressure.  0.45 calibrates the
-// engine's unguided convergence to PyEvolve-era baseline behavior.
-constexpr double k_roulette_floor = 0.45;
-
-std::size_t select_rank(std::span<const double> fitness, double pressure, Rng& rng)
+void SelectionTable::rebuild(std::span<const double> fitness, const SelectionConfig& config)
 {
-    const std::size_t n = fitness.size();
-    if (n == 1) return 0;
-    const std::vector<std::size_t> order = rank_order(fitness);
-    // Linear ranking: best rank r=0 gets weight `pressure`, worst gets
-    // 2 - pressure, interpolating linearly.
-    std::vector<double> weights(n);
-    for (std::size_t r = 0; r < n; ++r) {
-        const double frac = static_cast<double>(r) / static_cast<double>(n - 1);
-        weights[r] = pressure + ((2.0 - pressure) - pressure) * frac;
-    }
-    const std::size_t pick = rng.weighted_index(weights);
-    return order[pick];
-}
-
-std::size_t select_tournament(std::span<const double> fitness, std::size_t k, Rng& rng)
-{
-    const std::size_t n = fitness.size();
-    std::size_t best = rng.index(n);
-    for (std::size_t i = 1; i < std::max<std::size_t>(k, 1); ++i) {
-        const std::size_t challenger = rng.index(n);
-        if (fitness[challenger] > fitness[best]) best = challenger;
-    }
-    return best;
-}
-
-std::size_t select_roulette(std::span<const double> fitness, Rng& rng)
-{
-    // Shift scores so the worst finite score maps to a small positive weight;
-    // -inf (infeasible) maps to zero.
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    for (double f : fitness) {
-        if (!std::isfinite(f)) continue;
-        lo = std::min(lo, f);
-        hi = std::max(hi, f);
-    }
-    if (!std::isfinite(lo)) {
-        // Entire population infeasible: fall back to uniform.
-        return rng.index(fitness.size());
-    }
-    const double span = hi - lo;
-    const double floor_weight = span > 0.0 ? span * k_roulette_floor : 1.0;
-    std::vector<double> weights(fitness.size(), 0.0);
-    for (std::size_t i = 0; i < fitness.size(); ++i)
-        if (std::isfinite(fitness[i])) weights[i] = (fitness[i] - lo) + floor_weight;
-    return rng.weighted_index(weights);
-}
-
-}  // namespace
-
-std::size_t select_parent(std::span<const double> fitness, const SelectionConfig& config,
-                          Rng& rng)
-{
-    if (fitness.empty()) throw std::invalid_argument("select_parent: empty population");
+    if (fitness.empty()) throw std::invalid_argument("SelectionTable: empty population");
     if (config.rank_pressure < 1.0 || config.rank_pressure > 2.0)
-        throw std::invalid_argument("select_parent: rank_pressure out of [1, 2]");
-    switch (config.kind) {
-    case SelectionKind::rank: return select_rank(fitness, config.rank_pressure, rng);
-    case SelectionKind::tournament:
-        return select_tournament(fitness, config.tournament_size, rng);
-    case SelectionKind::roulette: return select_roulette(fitness, rng);
+        throw std::invalid_argument("SelectionTable: rank_pressure out of [1, 2]");
+    config_ = config;
+    n_ = fitness.size();
+    uniform_fallback_ = false;
+
+    switch (config_.kind) {
+    case SelectionKind::rank: {
+        if (n_ == 1) break;  // select() returns 0 without consuming RNG
+        rank_order_into(order_, fitness);
+        // Linear ranking: best rank r=0 gets weight `pressure`, worst gets
+        // 2 - pressure, interpolating linearly.
+        const double pressure = config_.rank_pressure;
+        weights_.resize(n_);
+        for (std::size_t r = 0; r < n_; ++r) {
+            const double frac = static_cast<double>(r) / static_cast<double>(n_ - 1);
+            weights_[r] = pressure + ((2.0 - pressure) - pressure) * frac;
+        }
+        break;
     }
-    throw std::logic_error("select_parent: unknown selection kind");
+    case SelectionKind::tournament:
+        fitness_.assign(fitness.begin(), fitness.end());
+        break;
+    case SelectionKind::roulette: {
+        // Shift scores so the worst finite score maps to a small positive
+        // weight; -inf (infeasible) maps to zero.
+        double lo = std::numeric_limits<double>::infinity();
+        double hi = -std::numeric_limits<double>::infinity();
+        for (double f : fitness) {
+            if (!std::isfinite(f)) continue;
+            lo = std::min(lo, f);
+            hi = std::max(hi, f);
+        }
+        if (!std::isfinite(lo)) {
+            uniform_fallback_ = true;  // entire population infeasible
+            break;
+        }
+        const double span = hi - lo;
+        const double floor_weight = span > 0.0 ? span * k_roulette_floor : 1.0;
+        weights_.assign(n_, 0.0);
+        for (std::size_t i = 0; i < n_; ++i)
+            if (std::isfinite(fitness[i])) weights_[i] = (fitness[i] - lo) + floor_weight;
+        break;
+    }
+    }
+}
+
+std::size_t SelectionTable::select(Rng& rng) const
+{
+    if (n_ == 0) throw std::logic_error("SelectionTable::select before rebuild");
+    switch (config_.kind) {
+    case SelectionKind::rank: {
+        if (n_ == 1) return 0;
+        const std::size_t pick = rng.weighted_index(weights_);
+        return order_[pick];
+    }
+    case SelectionKind::tournament: {
+        std::size_t best = rng.index(n_);
+        for (std::size_t i = 1; i < std::max<std::size_t>(config_.tournament_size, 1); ++i) {
+            const std::size_t challenger = rng.index(n_);
+            if (fitness_[challenger] > fitness_[best]) best = challenger;
+        }
+        return best;
+    }
+    case SelectionKind::roulette:
+        if (uniform_fallback_) return rng.index(n_);
+        return rng.weighted_index(weights_);
+    }
+    throw std::logic_error("SelectionTable: unknown selection kind");
 }
 
 }  // namespace nautilus

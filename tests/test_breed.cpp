@@ -6,7 +6,7 @@
 #include <limits>
 #include <vector>
 
-#include "core/ga.hpp"
+#include "breed_reference.hpp"
 
 namespace nautilus {
 namespace {
@@ -50,13 +50,6 @@ HintSet guided_hints(const ParameterSpace& space)
     return hints;
 }
 
-Evaluation sum_eval(const Genome& g)
-{
-    double total = 0.0;
-    for (auto v : g.genes()) total += static_cast<double>(v);
-    return {true, total};
-}
-
 std::vector<Genome> random_population(const ParameterSpace& space, std::size_t n, Rng& rng)
 {
     std::vector<Genome> population;
@@ -86,7 +79,8 @@ void expect_same_stats(const MutationStats& a, const MutationStats& b)
 }
 
 // ---------------------------------------------------------------------------
-// SelectionTable vs select_parent: identical pick sequence and RNG state.
+// SelectionTable vs reference::select_parent: identical pick sequence and RNG
+// state.
 
 TEST(SelectionTable, MatchesSelectParentDrawForDraw)
 {
@@ -106,7 +100,7 @@ TEST(SelectionTable, MatchesSelectParentDrawForDraw)
                 table.rebuild(fitness, config);
                 Rng scalar_rng{77}, table_rng{77};
                 for (int pick = 0; pick < 500; ++pick) {
-                    const auto want = select_parent(fitness, config, scalar_rng);
+                    const auto want = reference::select_parent(fitness, config, scalar_rng);
                     const auto got = table.select(table_rng);
                     ASSERT_EQ(want, got)
                         << "kind=" << static_cast<int>(config.kind) << " n=" << n
@@ -126,8 +120,9 @@ TEST(SelectionTable, AllInfeasibleRouletteFallsBackToUniform)
     table.rebuild(fitness, {SelectionKind::roulette, 1.8, 2});
     Rng scalar_rng{5}, table_rng{5};
     for (int pick = 0; pick < 200; ++pick) {
-        EXPECT_EQ(select_parent(fitness, {SelectionKind::roulette, 1.8, 2}, scalar_rng),
-                  table.select(table_rng));
+        EXPECT_EQ(
+            reference::select_parent(fitness, {SelectionKind::roulette, 1.8, 2}, scalar_rng),
+            table.select(table_rng));
     }
     EXPECT_EQ(scalar_rng.state(), table_rng.state());
 }
@@ -152,7 +147,7 @@ TEST(SelectionTable, ValidatesLikeSelectParent)
 }
 
 // ---------------------------------------------------------------------------
-// crossover_views vs crossover on Genome copies.
+// In-place crossover on gene spans vs reference::crossover on Genome copies.
 
 TEST(CrossoverViews, MatchesCrossoverOnGenomes)
 {
@@ -167,8 +162,8 @@ TEST(CrossoverViews, MatchesCrossoverOnGenomes)
 
             Rng scalar_rng{static_cast<std::uint64_t>(round + 1)};
             Rng view_rng{static_cast<std::uint64_t>(round + 1)};
-            const auto [ca, cb] = crossover(pa, pb, kind, scalar_rng);
-            crossover_views(va, vb, kind, view_rng);
+            const auto [ca, cb] = reference::crossover(pa, pb, kind, scalar_rng);
+            crossover(va, vb, kind, view_rng);
 
             EXPECT_EQ(ca.genes(), va);
             EXPECT_EQ(cb.genes(), vb);
@@ -178,7 +173,7 @@ TEST(CrossoverViews, MatchesCrossoverOnGenomes)
 }
 
 // ---------------------------------------------------------------------------
-// BreedContext::mutate vs the free mutate(): identical genes, counts, stats
+// BreedContext::mutate vs reference::mutate: identical genes, counts, stats
 // and RNG consumption across generations and hint shapes.
 
 TEST(BreedContextMutate, MatchesFreeMutateAcrossGenerations)
@@ -190,7 +185,11 @@ TEST(BreedContextMutate, MatchesFreeMutateAcrossGenerations)
             BreedContext breed_ctx{space, hints, 0.35};
             for (const std::size_t gen : {std::size_t{0}, std::size_t{1}, std::size_t{7}}) {
                 breed_ctx.begin_generation(gen);
-                MutationContext scalar_ctx{&space, &hints, 0.35, gen, nullptr};
+                reference::MutationContext scalar_ctx;
+                scalar_ctx.space = &space;
+                scalar_ctx.hints = &hints;
+                scalar_ctx.mutation_rate = 0.35;
+                scalar_ctx.generation = gen;
                 MutationStats scalar_stats, ctx_stats;
                 scalar_ctx.stats = &scalar_stats;
 
@@ -199,7 +198,7 @@ TEST(BreedContextMutate, MatchesFreeMutateAcrossGenerations)
                 for (int round = 0; round < 200; ++round) {
                     Genome a = Genome::random(space, setup);
                     Genome b = a;
-                    const auto want = mutate(a, scalar_ctx, scalar_rng);
+                    const auto want = reference::mutate(a, scalar_ctx, scalar_rng);
                     const auto got = breed_ctx.mutate(b, ctx_rng, &ctx_stats);
                     ASSERT_EQ(want, got);
                     ASSERT_EQ(a.genes(), b.genes());
@@ -228,7 +227,7 @@ TEST(BreedContext, HoistedProbsMatchPerCallComputation)
     BreedContext ctx{space, hints, 0.2};
     for (const std::size_t gen : {std::size_t{0}, std::size_t{3}, std::size_t{11}}) {
         ctx.begin_generation(gen);
-        const MutationContext scalar_ctx{&space, &hints, 0.2, gen, nullptr};
+        const MutationContext scalar_ctx{&space, &hints, 0.2, gen};
         const auto want = gene_mutation_probabilities(scalar_ctx);
         const auto got = ctx.gene_probs();
         ASSERT_EQ(want.size(), got.size());
@@ -262,7 +261,83 @@ TEST(BreedContext, MemoizedDistributionIsBitIdenticalToFresh)
 }
 
 // ---------------------------------------------------------------------------
-// BreedContext::breed vs the preserved scalar reference loop.
+// BreedContext::breed_pair vs the reference operators in the documented draw
+// order: bernoulli(crossover_rate), crossover, mutate a, mutate b.
+
+TEST(BreedPair, MatchesReferencePairStep)
+{
+    const auto space = mixed_space();
+    const HintSet hints = guided_hints(space);
+    BreedContext ctx{space, hints, 0.3};
+    reference::MutationContext ref_ctx;
+    ref_ctx.space = &space;
+    ref_ctx.hints = &hints;
+    ref_ctx.mutation_rate = 0.3;
+    Rng setup{515};
+    Rng ref_rng{61}, ctx_rng{61};
+    for (const bool mutate_b : {true, false}) {
+        for (int round = 0; round < 300; ++round) {
+            const Genome pa = Genome::random(space, setup);
+            const Genome pb = Genome::random(space, setup);
+
+            std::vector<std::uint8_t> mask;
+            Genome want_a = pa, want_b = pb;
+            const bool want_crossed = ref_rng.bernoulli(0.6);
+            if (want_crossed) {
+                auto [xa, xb] =
+                    reference::crossover(pa, pb, CrossoverKind::two_point, ref_rng, &mask);
+                want_a = std::move(xa);
+                want_b = std::move(xb);
+            }
+            else {
+                mask.assign(space.size(), 0);
+            }
+            std::vector<obs::GeneOrigin> want_oa(space.size()), want_ob(space.size());
+            for (std::size_t i = 0; i < space.size(); ++i)
+                want_oa[i] = want_ob[i] = mask[i] != 0 ? obs::GeneOrigin::parent_b
+                                                       : obs::GeneOrigin::parent_a;
+            ref_ctx.origins = want_oa.data();
+            reference::mutate(want_a, ref_ctx, ref_rng);
+            if (mutate_b) {
+                ref_ctx.origins = want_ob.data();
+                reference::mutate(want_b, ref_ctx, ref_rng);
+            }
+
+            Genome got_a = pa, got_b = pb;
+            std::vector<obs::GeneOrigin> got_oa(space.size()), got_ob(space.size());
+            const bool got_crossed =
+                ctx.breed_pair(got_a.genes_mut(), got_b.genes_mut(), 0.6,
+                               CrossoverKind::two_point, ctx_rng, mutate_b, nullptr,
+                               got_oa.data(), got_ob.data());
+
+            ASSERT_EQ(want_crossed, got_crossed) << "round " << round;
+            ASSERT_EQ(want_a.genes(), got_a.genes()) << "round " << round;
+            ASSERT_EQ(want_b.genes(), got_b.genes()) << "round " << round;
+            ASSERT_EQ(want_oa, got_oa) << "round " << round;
+            if (mutate_b) {
+                ASSERT_EQ(want_ob, got_ob) << "round " << round;
+            }
+        }
+    }
+    EXPECT_EQ(ref_rng.state(), ctx_rng.state());
+}
+
+// ---------------------------------------------------------------------------
+// BreedContext::breed vs the reference per-call breed loop.
+
+void expect_same_births(const BirthLog& want, const BirthLog& got)
+{
+    EXPECT_EQ(want.elites, got.elites);
+    ASSERT_EQ(want.children.size(), got.children.size());
+    for (std::size_t i = 0; i < want.children.size(); ++i) {
+        const ChildProvenance& a = want.children[i];
+        const ChildProvenance& b = got.children[i];
+        EXPECT_EQ(a.parent_a, b.parent_a) << "child " << i;
+        EXPECT_EQ(a.parent_b, b.parent_b) << "child " << i;
+        EXPECT_EQ(a.crossed, b.crossed) << "child " << i;
+        EXPECT_EQ(a.origins, b.origins) << "child " << i;
+    }
+}
 
 TEST(BreedPhase, DataOrientedMatchesScalarReference)
 {
@@ -288,13 +363,14 @@ TEST(BreedPhase, DataOrientedMatchesScalarReference)
 
                     BreedContext ctx{space, hints, 0.3};
                     Rng scalar_rng{99}, dataop_rng{99};
+                    BirthLog scalar_births, dataop_births;
                     for (std::size_t gen = 0; gen < 5; ++gen) {
-                        const auto scalar_stats = breed_population_scalar(
+                        const auto scalar_stats = reference::breed_population_scalar(
                             scalar_pop, fitness, config, space, hints, 0.3, gen,
-                            scalar_rng, true);
+                            scalar_rng, true, &scalar_births);
                         ctx.begin_generation(gen);
-                        const auto dataop_stats =
-                            ctx.breed(dataop_pop, fitness, config, dataop_rng, true);
+                        const auto dataop_stats = ctx.breed(dataop_pop, fitness, config,
+                                                            dataop_rng, true, &dataop_births);
 
                         ASSERT_EQ(scalar_pop.size(), dataop_pop.size());
                         for (std::size_t i = 0; i < scalar_pop.size(); ++i)
@@ -302,6 +378,7 @@ TEST(BreedPhase, DataOrientedMatchesScalarReference)
                                 << "member " << i << " gen " << gen;
                         EXPECT_EQ(scalar_stats.crossovers, dataop_stats.crossovers);
                         expect_same_stats(scalar_stats.mutation, dataop_stats.mutation);
+                        expect_same_births(scalar_births, dataop_births);
                     }
                     EXPECT_EQ(scalar_rng.state(), dataop_rng.state());
                 }
@@ -325,79 +402,6 @@ TEST(BreedPhase, ValidatesInputs)
     config.elitism = 1;
     config.population_size = 5;
     EXPECT_THROW(ctx.breed(population, fitness, config, rng, false), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Full-engine equivalence: GaConfig::scalar_breed flips the implementation,
-// never the results.
-
-void expect_identical_runs(const RunResult& a, const RunResult& b)
-{
-    ASSERT_EQ(a.history.size(), b.history.size());
-    for (std::size_t i = 0; i < a.history.size(); ++i) {
-        EXPECT_EQ(a.history[i].best, b.history[i].best);
-        EXPECT_EQ(a.history[i].mean, b.history[i].mean);
-        EXPECT_EQ(a.history[i].worst, b.history[i].worst);
-        EXPECT_EQ(a.history[i].best_so_far, b.history[i].best_so_far);
-        EXPECT_EQ(a.history[i].distinct_evals, b.history[i].distinct_evals);
-    }
-    EXPECT_EQ(a.best_genome.genes(), b.best_genome.genes());
-    EXPECT_EQ(a.best_eval.value, b.best_eval.value);
-    EXPECT_EQ(a.distinct_evals, b.distinct_evals);
-    ASSERT_EQ(a.final_population.size(), b.final_population.size());
-    for (std::size_t i = 0; i < a.final_population.size(); ++i)
-        EXPECT_EQ(a.final_population[i].genes(), b.final_population[i].genes());
-    EXPECT_EQ(a.final_rng_state, b.final_rng_state);
-}
-
-TEST(GaEngine, ScalarBreedFlagIsBitExact)
-{
-    const auto space = toy_space();
-    for (const bool guided : {false, true}) {
-        const HintSet hints = guided ? guided_hints(space) : HintSet::none(space);
-        for (const auto kind :
-             {SelectionKind::rank, SelectionKind::tournament, SelectionKind::roulette}) {
-            GaConfig cfg;
-            cfg.population_size = 8;
-            cfg.generations = 25;
-            cfg.selection.kind = kind;
-            cfg.seed = 7;
-
-            GaConfig scalar_cfg = cfg;
-            scalar_cfg.scalar_breed = true;
-            const GaEngine dataop{space, cfg, Direction::maximize, sum_eval, hints};
-            const GaEngine scalar{space, scalar_cfg, Direction::maximize, sum_eval, hints};
-            expect_identical_runs(dataop.run(), scalar.run());
-        }
-    }
-}
-
-TEST(GaEngine, ScalarBreedFlagIsBitExactWithParallelEval)
-{
-    const auto space = toy_space();
-    GaConfig cfg;
-    cfg.population_size = 10;
-    cfg.generations = 20;
-    cfg.eval_workers = 4;
-    cfg.seed = 13;
-    GaConfig scalar_cfg = cfg;
-    scalar_cfg.scalar_breed = true;
-    const HintSet hints = guided_hints(space);
-    const GaEngine dataop{space, cfg, Direction::maximize, sum_eval, hints};
-    const GaEngine scalar{space, scalar_cfg, Direction::maximize, sum_eval, hints};
-    expect_identical_runs(dataop.run(), scalar.run());
-}
-
-TEST(GaEngine, ScalarBreedIsExcludedFromConfigFingerprint)
-{
-    const auto space = toy_space();
-    GaConfig cfg;
-    GaConfig scalar_cfg = cfg;
-    scalar_cfg.scalar_breed = true;
-    const GaEngine dataop{space, cfg, Direction::maximize, sum_eval, HintSet::none(space)};
-    const GaEngine scalar{space, scalar_cfg, Direction::maximize, sum_eval,
-                          HintSet::none(space)};
-    EXPECT_EQ(dataop.config_fingerprint(1), scalar.config_fingerprint(1));
 }
 
 // ---------------------------------------------------------------------------

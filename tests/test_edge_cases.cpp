@@ -6,6 +6,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "core/breed.hpp"
 #include "core/ga.hpp"
 #include "exp/experiment.hpp"
 #include "fft/fft_generator.hpp"
@@ -54,13 +55,10 @@ TEST(EdgeSpaces, MutationOnAllSingleValueDomainsIsHarmless)
     space.add("a", ParamDomain::int_range(1, 1));
     space.add("b", ParamDomain::int_range(2, 2));
     const HintSet hints = HintSet::none(space);
-    MutationContext ctx;
-    ctx.space = &space;
-    ctx.hints = &hints;
-    ctx.mutation_rate = 1.0;
+    BreedContext ctx{space, hints, 1.0};
     Rng rng{1};
     Genome g = Genome::zeros(space);
-    EXPECT_EQ(mutate(g, ctx, rng), 0u);
+    EXPECT_EQ(ctx.mutate(g, rng), 0u);
     EXPECT_EQ(g, Genome::zeros(space));
 }
 

@@ -1,0 +1,248 @@
+// Golden digests: results pinned across commits.  Each constant was recorded
+// from a known-good build; a refactor of the breeding core (selection,
+// crossover, mutation, the breed loop, lineage capture) must reproduce every
+// one of them bit for bit.  A digest mismatch means the change altered what
+// the engines compute, which is a behaviour change, not a refactor.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "core/ga.hpp"
+#include "core/nautilus.hpp"
+#include "core/nsga2.hpp"
+#include "noc/router_generator.hpp"
+#include "obs/lineage.hpp"
+
+namespace nautilus {
+namespace {
+
+// FNV-1a over everything fed in; doubles by their IEEE-754 bits.
+class Digest {
+public:
+    Digest& add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+        return *this;
+    }
+    Digest& add(double v) { return add(std::bit_cast<std::uint64_t>(v)); }
+    Digest& add(const std::vector<std::uint32_t>& genes)
+    {
+        add(std::uint64_t{genes.size()});
+        for (const std::uint32_t g : genes) add(std::uint64_t{g});
+        return *this;
+    }
+    Digest& add(const std::string& s)
+    {
+        add(std::uint64_t{s.size()});
+        for (const char c : s) byte(static_cast<std::uint8_t>(c));
+        return *this;
+    }
+    std::uint64_t value() const { return h_; }
+
+private:
+    void byte(std::uint8_t b)
+    {
+        h_ ^= b;
+        h_ *= 0x100000001b3ull;
+    }
+    std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+ParameterSpace toy_space()
+{
+    ParameterSpace space;
+    space.add("a", ParamDomain::int_range(0, 7));
+    space.add("b", ParamDomain::int_range(0, 7));
+    space.add("c", ParamDomain::int_range(0, 7));
+    space.add("d", ParamDomain::int_range(0, 7));
+    return space;
+}
+
+// Exercises every hint channel: importance + decay, bias, target, step_scale.
+HintSet guided_hints(const ParameterSpace& space)
+{
+    HintSet hints = HintSet::none(space);
+    hints.set_confidence(0.7);
+    hints.param(0).importance = 40.0;
+    hints.param(0).importance_decay = 0.9;
+    hints.param(0).bias = 0.8;
+    hints.param(1).importance = 10.0;
+    hints.param(1).target = 6.0;
+    hints.param(1).step_scale = 0.3;
+    hints.validate(space);
+    return hints;
+}
+
+Evaluation sum_eval(const Genome& g)
+{
+    double total = 0.0;
+    for (auto v : g.genes()) total += static_cast<double>(v);
+    return {true, total};
+}
+
+std::uint64_t run_digest(const RunResult& r)
+{
+    Digest d;
+    d.add(std::uint64_t{r.history.size()});
+    for (const GenerationStats& s : r.history) d.add(s.best).add(s.mean).add(s.worst);
+    d.add(r.best_genome.genes());
+    d.add(std::uint64_t{r.final_population.size()});
+    for (const Genome& g : r.final_population) d.add(g.genes());
+    for (const std::uint64_t w : r.final_rng_state) d.add(w);
+    d.add(std::uint64_t{r.distinct_evals});
+    return d.value();
+}
+
+// Remove one "key":value pair from a flat JSON object rendering.
+std::string drop_field(std::string json, const std::string& key)
+{
+    const std::string needle = "\"" + key + "\":";
+    const std::size_t at = json.find(needle);
+    if (at == std::string::npos) return json;
+    std::size_t end = json.find_first_of(",}", at + needle.size());
+    if (end != std::string::npos && json[end] == ',') ++end;
+    return json.erase(at, end - at);
+}
+
+// The birth and lineage_summary lines of a trace, minus the timestamp.
+std::uint64_t lineage_digest(const obs::MemorySink& sink)
+{
+    Digest d;
+    for (const char* type : {"birth", "lineage_summary"}) {
+        const auto events = sink.events_of(type);
+        d.add(std::uint64_t{events.size()});
+        for (const obs::TraceEvent& ev : events) d.add(drop_field(to_jsonl(ev), "t"));
+    }
+    return d.value();
+}
+
+// ---- GA ----------------------------------------------------------------------
+
+struct GaGolden {
+    bool guided;
+    SelectionKind kind;
+    std::uint64_t digest;
+};
+
+TEST(GaEngine, BreedMatrixMatchesGoldenDigests)
+{
+    // guided x {rank, tournament, roulette}: toy space, population 8,
+    // 25 generations, seed 7.
+    const GaGolden goldens[] = {
+        {false, SelectionKind::rank, 0x28c9134a99afc908ull},
+        {false, SelectionKind::tournament, 0xd2b01eb5334fb454ull},
+        {false, SelectionKind::roulette, 0xfb15b7f8c3cbc125ull},
+        {true, SelectionKind::rank, 0x8c07f648dc652efdull},
+        {true, SelectionKind::tournament, 0x70b3d10ba2cfc5c7ull},
+        {true, SelectionKind::roulette, 0x0236687631d6f078ull},
+    };
+    const auto space = toy_space();
+    for (const GaGolden& golden : goldens) {
+        const HintSet hints = golden.guided ? guided_hints(space) : HintSet::none(space);
+        GaConfig cfg;
+        cfg.population_size = 8;
+        cfg.generations = 25;
+        cfg.selection.kind = golden.kind;
+        cfg.seed = 7;
+        const GaEngine engine{space, cfg, Direction::maximize, sum_eval, hints};
+        EXPECT_EQ(run_digest(engine.run()), golden.digest)
+            << "guided=" << golden.guided << " selection=" << selection_name(golden.kind);
+    }
+}
+
+TEST(GaEngine, ParallelEvalMatchesGoldenDigest)
+{
+    const auto space = toy_space();
+    GaConfig cfg;
+    cfg.population_size = 10;
+    cfg.generations = 20;
+    cfg.eval_workers = 4;
+    cfg.seed = 13;
+    const GaEngine engine{space, cfg, Direction::maximize, sum_eval, guided_hints(space)};
+    EXPECT_EQ(run_digest(engine.run()), 0x2ea28f30e3fca220ull);
+}
+
+TEST(GaEngine, DefaultConfigFingerprintIsPinned)
+{
+    // Checkpoints store this fingerprint; a change would orphan every
+    // checkpoint written before it.
+    const auto space = toy_space();
+    const GaEngine engine{space, GaConfig{}, Direction::maximize, sum_eval,
+                          HintSet::none(space)};
+    EXPECT_EQ(engine.config_fingerprint(1), 0x0b346fedaeb08593ull);
+}
+
+TEST(LineageGa, BirthStreamMatchesGoldenDigest)
+{
+    ParameterSpace space;
+    for (int i = 0; i < 4; ++i)
+        space.add("p" + std::to_string(i), ParamDomain::int_range(0, 7));
+    GaConfig cfg;
+    cfg.generations = 12;
+    cfg.seed = 2015;
+    auto sink = std::make_shared<obs::MemorySink>();
+    cfg.obs.tracer = obs::Tracer{sink};
+    const GaEngine engine{space, cfg, Direction::maximize, sum_eval, HintSet::none(space)};
+    engine.run();
+    ASSERT_FALSE(sink->events_of("birth").empty());
+    EXPECT_EQ(lineage_digest(*sink), 0x90b8b740d43d16b3ull);
+}
+
+// ---- NSGA-II -----------------------------------------------------------------
+
+// Router freq_mhz (max) x area_luts (min) under strong author hints, with a
+// lineage tracker and tracer attached: the front, every birth record (the
+// archive's provenance) and the lineage summary.
+std::uint64_t nsga2_router_digest(std::size_t workers)
+{
+    const noc::RouterGenerator generator;
+    const ip::Metric first = ip::Metric::freq_mhz;
+    const ip::Metric second = ip::Metric::area_luts;
+    const MultiEvalFn eval = [&generator, first,
+                              second](const Genome& g) -> std::optional<std::vector<double>> {
+        const auto mv = generator.evaluate(g);
+        if (!mv.feasible) return std::nullopt;
+        const auto a = mv.try_get(first);
+        const auto b = mv.try_get(second);
+        if (!a || !b) return std::nullopt;
+        return std::vector<double>{*a, *b};
+    };
+    MultiObjectiveConfig cfg;
+    cfg.generations = 8;
+    cfg.seed = 2015;
+    cfg.eval_workers = workers;
+    auto sink = std::make_shared<obs::MemorySink>();
+    cfg.obs.tracer = obs::Tracer{sink};
+    cfg.obs.lineage = std::make_shared<obs::LineageTracker>();
+    const HintSet hints = apply_guidance(generator.author_hints(first), Direction::maximize,
+                                         GuidanceLevel::strong);
+    const Nsga2Engine engine{generator.space(), cfg,
+                             {Direction::maximize, Direction::minimize}, eval, hints};
+    const MultiObjectiveResult r = engine.run();
+
+    Digest d;
+    d.add(std::uint64_t{r.front.size()});
+    for (const FrontPoint& p : r.front) {
+        d.add(p.genome.genes());
+        for (const double v : p.values) d.add(v);
+    }
+    d.add(std::uint64_t{r.distinct_evals});
+    d.add(lineage_digest(*sink));
+    return d.value();
+}
+
+TEST(Nsga2Engine, RouterFrontAndLineageMatchGoldenDigest)
+{
+    // Worker count changes nothing, so both runs share one digest.
+    EXPECT_EQ(nsga2_router_digest(1), 0x4a8878e7b5b0b26eull);
+    EXPECT_EQ(nsga2_router_digest(4), 0x4a8878e7b5b0b26eull);
+}
+
+}  // namespace
+}  // namespace nautilus

@@ -1,7 +1,7 @@
 // Lineage & hint attribution (DESIGN.md §11): recorder unit behavior, the
-// zero-RNG-impact contract against every breed path, birth/draw conservation
-// against breed events, survival of birth records under quarantine, resume
-// reproducibility, and the guided-vs-unguided attribution acceptance test.
+// zero-RNG-impact contract, birth/draw conservation against breed events,
+// survival of birth records under quarantine, resume reproducibility, and
+// the guided-vs-unguided attribution acceptance test.
 
 #include "obs/lineage.hpp"
 
@@ -55,11 +55,6 @@ std::string drop_field(std::string json, const std::string& key)
     if (end != std::string::npos && json[end] == ',')
         ++end;  // interior field: eat the trailing comma
     return json.erase(at, end - at);
-}
-
-std::string birth_line(const TraceEvent& ev)
-{
-    return drop_field(to_jsonl(ev), "t");
 }
 
 // ---- codes & names ----------------------------------------------------------
@@ -195,26 +190,18 @@ GaConfig toy_cfg()
     return cfg;
 }
 
-// The tentpole contract: lineage recording never touches the RNG, so a run
-// with a tracer, a live tracker, both, or neither — on either breed path —
-// produces bit-identical results.
+// Lineage recording never touches the RNG, so a run with a tracer, a live
+// tracker, both, or neither produces bit-identical results.
 TEST(LineageGa, RecordingDrawsNothingFromTheRng)
 {
     const RunResult plain = ga_run(toy_cfg(), nullptr);
 
     std::vector<RunResult> variants;
-    for (const bool scalar : {false, true}) {
-        for (const int mode : {1, 2, 3}) {  // 1=tracker, 2=tracer, 3=both
-            GaConfig cfg = toy_cfg();
-            cfg.scalar_breed = scalar;
-            if (mode & 1) cfg.obs.lineage = std::make_shared<obs::LineageTracker>();
-            variants.push_back(
-                ga_run(cfg, mode & 2 ? std::make_shared<MemorySink>() : nullptr));
-        }
+    for (const int mode : {1, 2, 3}) {  // 1=tracker, 2=tracer, 3=both
+        GaConfig cfg = toy_cfg();
+        if (mode & 1) cfg.obs.lineage = std::make_shared<obs::LineageTracker>();
+        variants.push_back(ga_run(cfg, mode & 2 ? std::make_shared<MemorySink>() : nullptr));
     }
-    GaConfig scalar_plain_cfg = toy_cfg();
-    scalar_plain_cfg.scalar_breed = true;
-    variants.push_back(ga_run(scalar_plain_cfg, nullptr));
 
     for (const RunResult& r : variants) {
         EXPECT_EQ(r.final_rng_state, plain.final_rng_state);
@@ -222,29 +209,6 @@ TEST(LineageGa, RecordingDrawsNothingFromTheRng)
         EXPECT_EQ(r.distinct_evals, plain.distinct_evals);
         EXPECT_EQ(r.best_genome.key(), plain.best_genome.key());
     }
-}
-
-TEST(LineageGa, ScalarAndDataopBirthStreamsAreIdentical)
-{
-    auto dataop = std::make_shared<MemorySink>();
-    auto scalar = std::make_shared<MemorySink>();
-    ga_run(toy_cfg(), dataop);
-    GaConfig cfg = toy_cfg();
-    cfg.scalar_breed = true;
-    ga_run(cfg, scalar);
-
-    const auto births_a = dataop->events_of("birth");
-    const auto births_b = scalar->events_of("birth");
-    ASSERT_EQ(births_a.size(), births_b.size());
-    ASSERT_FALSE(births_a.empty());
-    for (std::size_t i = 0; i < births_a.size(); ++i)
-        EXPECT_EQ(birth_line(births_a[i]), birth_line(births_b[i])) << "birth " << i;
-
-    const auto sum_a = dataop->events_of("lineage_summary");
-    const auto sum_b = scalar->events_of("lineage_summary");
-    ASSERT_EQ(sum_a.size(), 1u);
-    ASSERT_EQ(sum_b.size(), 1u);
-    EXPECT_EQ(birth_line(sum_a[0]), birth_line(sum_b[0]));
 }
 
 // Conservation against the breed events: per generation, births equal the

@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <numeric>
+#include <utility>
+
+#include "core/breed.hpp"
 
 namespace nautilus {
 namespace {
@@ -27,6 +30,15 @@ MutationContext make_ctx(const ParameterSpace& space, const HintSet& hints,
     ctx.mutation_rate = rate;
     ctx.generation = gen;
     return ctx;
+}
+
+// Two children from copies of two parents, via the in-place crossover.
+std::pair<Genome, Genome> cross(const Genome& a, const Genome& b, CrossoverKind kind, Rng& rng)
+{
+    Genome ca = a;
+    Genome cb = b;
+    crossover(ca.genes_mut(), cb.genes_mut(), kind, rng);
+    return {std::move(ca), std::move(cb)};
 }
 
 double sum(const std::vector<double>& v)
@@ -262,9 +274,10 @@ TEST(Mutate, RateZeroChangesNothing)
     const auto space = op_space();
     const HintSet hints = HintSet::none(space);
     Rng rng{1};
+    BreedContext ctx{space, hints, 0.0};
     Genome g = Genome::random(space, rng);
     const Genome before = g;
-    EXPECT_EQ(mutate(g, make_ctx(space, hints, 0.0), rng), 0u);
+    EXPECT_EQ(ctx.mutate(g, rng), 0u);
     EXPECT_EQ(g, before);
 }
 
@@ -273,9 +286,10 @@ TEST(Mutate, RateOneChangesEveryMultiValueGene)
     const auto space = op_space();
     const HintSet hints = HintSet::none(space);
     Rng rng{2};
+    BreedContext ctx{space, hints, 1.0};
     Genome g = Genome::random(space, rng);
     const Genome before = g;
-    const std::size_t changed = mutate(g, make_ctx(space, hints, 1.0), rng);
+    const std::size_t changed = ctx.mutate(g, rng);
     EXPECT_EQ(changed, 4u);
     for (std::size_t i = 0; i < 4; ++i) EXPECT_NE(g.gene(i), before.gene(i));
 }
@@ -285,9 +299,10 @@ TEST(Mutate, StaysWithinDomains)
     const auto space = op_space();
     const HintSet hints = HintSet::none(space);
     Rng rng{3};
+    BreedContext ctx{space, hints, 0.5};
     for (int trial = 0; trial < 200; ++trial) {
         Genome g = Genome::random(space, rng);
-        mutate(g, make_ctx(space, hints, 0.5), rng);
+        ctx.mutate(g, rng);
         ASSERT_TRUE(g.compatible_with(space));
     }
 }
@@ -297,11 +312,12 @@ TEST(Mutate, ObservedRateMatchesConfigured)
     const auto space = op_space();
     const HintSet hints = HintSet::none(space);
     Rng rng{4};
+    BreedContext ctx{space, hints, 0.1};
     std::size_t changed = 0;
     constexpr int trials = 5000;
     for (int t = 0; t < trials; ++t) {
         Genome g = Genome::random(space, rng);
-        changed += mutate(g, make_ctx(space, hints, 0.1), rng);
+        changed += ctx.mutate(g, rng);
     }
     // 4 genes x 0.1 = 0.4 expected changes per genome.
     EXPECT_NEAR(changed / static_cast<double>(trials), 0.4, 0.03);
@@ -312,8 +328,9 @@ TEST(Mutate, RejectsIncompatibleGenome)
     const auto space = op_space();
     const HintSet hints = HintSet::none(space);
     Rng rng{5};
+    BreedContext ctx{space, hints, 0.1};
     Genome g{{0, 0}};
-    EXPECT_THROW(mutate(g, make_ctx(space, hints), rng), std::invalid_argument);
+    EXPECT_THROW(ctx.mutate(g, rng), std::invalid_argument);
 }
 
 // ---- crossover --------------------------------------------------------------
@@ -326,7 +343,7 @@ TEST(Crossover, ChildrenGenesComeFromParentsColumnwise)
     for (auto kind : {CrossoverKind::single_point, CrossoverKind::two_point,
                       CrossoverKind::uniform}) {
         for (int t = 0; t < 50; ++t) {
-            const auto [ca, cb] = crossover(a, b, kind, rng);
+            const auto [ca, cb] = cross(a, b, kind, rng);
             for (std::size_t i = 0; i < a.size(); ++i) {
                 // Each column keeps exactly one 0 and one 1.
                 EXPECT_EQ(ca.gene(i) + cb.gene(i), 1u) << crossover_name(kind);
@@ -341,7 +358,7 @@ TEST(Crossover, SinglePointProducesContiguousSwap)
     const Genome a{{0, 0, 0, 0, 0, 0}};
     const Genome b{{1, 1, 1, 1, 1, 1}};
     for (int t = 0; t < 50; ++t) {
-        const auto [ca, cb] = crossover(a, b, CrossoverKind::single_point, rng);
+        const auto [ca, cb] = cross(a, b, CrossoverKind::single_point, rng);
         // ca must be 0...0 1...1 with exactly one transition.
         int transitions = 0;
         for (std::size_t i = 1; i < ca.size(); ++i)
@@ -356,7 +373,7 @@ TEST(Crossover, SingleGeneParentsAreNoOp)
     Rng rng{8};
     const Genome a{{3}};
     const Genome b{{7}};
-    const auto [ca, cb] = crossover(a, b, CrossoverKind::single_point, rng);
+    const auto [ca, cb] = cross(a, b, CrossoverKind::single_point, rng);
     EXPECT_EQ(ca, a);
     EXPECT_EQ(cb, b);
 }
@@ -366,9 +383,9 @@ TEST(Crossover, RejectsMismatchedParents)
     Rng rng{9};
     const Genome a{{1, 2}};
     const Genome b{{1, 2, 3}};
-    EXPECT_THROW(crossover(a, b, CrossoverKind::uniform, rng), std::invalid_argument);
+    EXPECT_THROW(cross(a, b, CrossoverKind::uniform, rng), std::invalid_argument);
     const Genome empty;
-    EXPECT_THROW(crossover(empty, empty, CrossoverKind::uniform, rng),
+    EXPECT_THROW(cross(empty, empty, CrossoverKind::uniform, rng),
                  std::invalid_argument);
 }
 
@@ -379,7 +396,7 @@ TEST(Crossover, UniformMixesBothParents)
     const Genome b{{1, 1, 1, 1, 1, 1, 1, 1}};
     int mixed = 0;
     for (int t = 0; t < 100; ++t) {
-        const auto [ca, cb] = crossover(a, b, CrossoverKind::uniform, rng);
+        const auto [ca, cb] = cross(a, b, CrossoverKind::uniform, rng);
         bool has0 = false;
         bool has1 = false;
         for (std::size_t i = 0; i < ca.size(); ++i) {
@@ -406,7 +423,7 @@ TEST(Crossover, EveryGeneIndexExchangedWithNonzeroFrequency)
                       CrossoverKind::uniform}) {
         std::vector<int> swapped(n, 0);
         for (int t = 0; t < trials; ++t) {
-            const auto [ca, cb] = crossover(a, b, kind, rng);
+            const auto [ca, cb] = cross(a, b, kind, rng);
             for (std::size_t i = 0; i < n; ++i)
                 if (ca.gene(i) != a.gene(i)) ++swapped[i];
         }
@@ -430,7 +447,7 @@ TEST(Crossover, TwoPointLastGeneMatchesExpectedRate)
     const Genome b{{1, 1, 1, 1, 1}};
     int last_swapped = 0;
     for (int t = 0; t < trials; ++t) {
-        const auto [ca, cb] = crossover(a, b, CrossoverKind::two_point, rng);
+        const auto [ca, cb] = cross(a, b, CrossoverKind::two_point, rng);
         if (ca.gene(n - 1) != 0) ++last_swapped;
     }
     const double rate = last_swapped / static_cast<double>(trials);

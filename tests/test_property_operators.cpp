@@ -4,8 +4,10 @@
 
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "core/breed.hpp"
 #include "core/genome.hpp"
 #include "core/parameter.hpp"
 #include "core/rng.hpp"
@@ -37,6 +39,15 @@ Genome random_genome(const ParameterSpace& space, Rng& rng)
     return Genome::random(space, rng);
 }
 
+// Two children from copies of two parents, via the in-place crossover.
+std::pair<Genome, Genome> cross(const Genome& a, const Genome& b, CrossoverKind kind, Rng& rng)
+{
+    Genome ca = a;
+    Genome cb = b;
+    crossover(ca.genes_mut(), cb.genes_mut(), kind, rng);
+    return {std::move(ca), std::move(cb)};
+}
+
 void expect_in_domain(const Genome& g, const ParameterSpace& space)
 {
     ASSERT_EQ(g.size(), space.size());
@@ -54,7 +65,7 @@ TEST(PropertyCrossover, ChildrenOnlyEverContainParentGenes)
         for (int c = 0; c < k_cases; ++c) {
             const Genome a = random_genome(space, rng);
             const Genome b = random_genome(space, rng);
-            const auto [c1, c2] = crossover(a, b, kind, rng);
+            const auto [c1, c2] = cross(a, b, kind, rng);
             ASSERT_EQ(c1.size(), a.size());
             ASSERT_EQ(c2.size(), a.size());
             for (std::size_t i = 0; i < a.size(); ++i) {
@@ -86,7 +97,7 @@ TEST(PropertySinglePointCrossover, EveryCutPositionIsReachable)
     Rng rng{0x5eed2};
     std::set<std::size_t> cuts;
     for (int c = 0; c < k_cases; ++c) {
-        const auto [c1, c2] = crossover(a, b, CrossoverKind::single_point, rng);
+        const auto [c1, c2] = cross(a, b, CrossoverKind::single_point, rng);
         std::size_t cut = n;
         for (std::size_t i = 0; i < n; ++i)
             if (c1.gene(i) != c1.gene(0)) {
@@ -115,7 +126,7 @@ TEST(PropertyTwoPointCrossover, SwapsAreContiguousAndReachTheLastGene)
     std::set<std::pair<std::size_t, std::size_t>> windows;
     bool last_gene_swapped = false;
     for (int c = 0; c < k_cases; ++c) {
-        const auto [c1, c2] = crossover(a, b, CrossoverKind::two_point, rng);
+        const auto [c1, c2] = cross(a, b, CrossoverKind::two_point, rng);
         // The genes c1 took from b form one contiguous window [p, q).
         std::size_t p = n;
         std::size_t q = 0;
@@ -145,14 +156,11 @@ TEST(PropertyMutation, MutatedGenomesAlwaysStayInDomain)
     const auto space = mixed_space();
     const HintSet none = HintSet::none(space);
     Rng rng{0x5eed4};
-    MutationContext ctx;
-    ctx.space = &space;
-    ctx.hints = &none;
-    ctx.mutation_rate = 0.5;  // high rate: exercise many gene draws
+    BreedContext ctx{space, none, 0.5};  // high rate: exercise many gene draws
     for (int c = 0; c < k_cases; ++c) {
         Genome g = random_genome(space, rng);
         const Genome before = g;
-        const std::size_t changed = mutate(g, ctx, rng);
+        const std::size_t changed = ctx.mutate(g, rng);
         expect_in_domain(g, space);
         // `changed` counts exactly the differing genes, and every mutated
         // gene really changed value.
@@ -186,13 +194,10 @@ TEST(PropertyMutation, HintedMutationRespectsDomainsUnderRandomHints)
         HintSet hints{params, rng.uniform()};
         ASSERT_NO_THROW(hints.validate(space));
 
-        MutationContext ctx;
-        ctx.space = &space;
-        ctx.hints = &hints;
-        ctx.mutation_rate = 0.5;
-        ctx.generation = static_cast<std::size_t>(c % 40);
+        BreedContext ctx{space, hints, 0.5};
+        ctx.begin_generation(static_cast<std::size_t>(c % 40));
         Genome g = random_genome(space, rng);
-        mutate(g, ctx, rng);
+        ctx.mutate(g, rng);
         expect_in_domain(g, space);
     }
 }

@@ -11,19 +11,37 @@ namespace {
 
 constexpr double k_inf = std::numeric_limits<double>::infinity();
 
+// One pick from a freshly rebuilt table.
+std::size_t pick_parent(std::span<const double> fitness, const SelectionConfig& cfg,
+                          Rng& rng)
+{
+    SelectionTable table;
+    table.rebuild(fitness, cfg);
+    return table.select(rng);
+}
+
+std::vector<std::size_t> ranked(std::span<const double> fitness)
+{
+    std::vector<std::size_t> order;
+    rank_order_into(order, fitness);
+    return order;
+}
+
 std::vector<int> tally(std::span<const double> fitness, const SelectionConfig& cfg,
                        int draws, std::uint64_t seed)
 {
     Rng rng{seed};
+    SelectionTable table;
+    table.rebuild(fitness, cfg);
     std::vector<int> counts(fitness.size(), 0);
-    for (int i = 0; i < draws; ++i) ++counts[select_parent(fitness, cfg, rng)];
+    for (int i = 0; i < draws; ++i) ++counts[table.select(rng)];
     return counts;
 }
 
 TEST(RankOrder, SortsBestFirstStably)
 {
     const std::vector<double> fitness{1.0, 5.0, 3.0, 5.0};
-    const auto order = rank_order(fitness);
+    const auto order = ranked(fitness);
     EXPECT_EQ(order, (std::vector<std::size_t>{1, 3, 2, 0}));
 }
 
@@ -31,7 +49,7 @@ TEST(SelectParent, EmptyPopulationThrows)
 {
     Rng rng{1};
     const std::vector<double> empty;
-    EXPECT_THROW(select_parent(empty, SelectionConfig{}, rng), std::invalid_argument);
+    EXPECT_THROW(pick_parent(empty, SelectionConfig{}, rng), std::invalid_argument);
 }
 
 TEST(SelectParent, BadRankPressureThrows)
@@ -40,9 +58,9 @@ TEST(SelectParent, BadRankPressureThrows)
     const std::vector<double> fitness{1.0, 2.0};
     SelectionConfig cfg;
     cfg.rank_pressure = 0.5;
-    EXPECT_THROW(select_parent(fitness, cfg, rng), std::invalid_argument);
+    EXPECT_THROW(pick_parent(fitness, cfg, rng), std::invalid_argument);
     cfg.rank_pressure = 2.5;
-    EXPECT_THROW(select_parent(fitness, cfg, rng), std::invalid_argument);
+    EXPECT_THROW(pick_parent(fitness, cfg, rng), std::invalid_argument);
 }
 
 TEST(SelectParent, SingleMemberAlwaysSelected)
@@ -53,7 +71,7 @@ TEST(SelectParent, SingleMemberAlwaysSelected)
                       SelectionKind::roulette}) {
         SelectionConfig cfg;
         cfg.kind = kind;
-        EXPECT_EQ(select_parent(fitness, cfg, rng), 0u);
+        EXPECT_EQ(pick_parent(fitness, cfg, rng), 0u);
     }
 }
 
@@ -192,7 +210,7 @@ TEST(SelectParent, RankFrequenciesMatchLinearRankingWeights)
     const auto counts = tally(fitness, cfg, draws, 21);
 
     // Member at rank r (0 = best) gets weight pressure + (2 - 2*pressure)*r/(n-1).
-    const auto order = rank_order(fitness);
+    const auto order = ranked(fitness);
     const std::size_t n = fitness.size();
     std::vector<double> expected(n, 0.0);
     double total = 0.0;
@@ -221,7 +239,7 @@ TEST(SelectParent, TournamentFrequenciesMatchOrderStatistics)
     const int draws = 60000;
     const auto counts = tally(fitness, cfg, draws, 22);
 
-    const auto order = rank_order(fitness);
+    const auto order = ranked(fitness);
     const std::size_t n = fitness.size();
     std::vector<double> expected(n, 0.0);
     for (std::size_t r = 0; r < n; ++r) {

@@ -49,7 +49,6 @@
 //   --runs N                    runs to average (default 10)
 //   --samples N                 estimation samples for --guidance estimated
 //   --dataset PATH              serve evaluations from a saved CSV dataset
-//   --scalar-breed              pre-refactor GA breed path (bit-identical)
 //
 // Characterization (enumerates the space instead of searching):
 //   --sensitivity               print the dataset sensitivity report
@@ -147,7 +146,6 @@ struct CliOptions {
     double progress_interval = 0.0; // > 0 enables the stderr heartbeat
     std::string store;              // persistent evaluation store directory
     std::uint64_t store_max_bytes = 0;  // 0 = unlimited
-    bool scalar_breed = false;      // pre-refactor GA breed path (bit-identical)
 
     // Job plane: one standalone spec run, or the multi-tenant server.
     std::string job_spec;            // --job SPEC.json
@@ -199,7 +197,7 @@ unsigned long long ull(std::uint64_t v) { return static_cast<unsigned long long>
                  "                [--population N] [--seed N] [--workers N] [--trace PATH]\n"
                  "                [--lineage] [--metrics] [--serve PORT] [--serve-grace S]\n"
                  "                [--progress [S]] [--store PATH] [--store-max-bytes N]\n"
-                 "  experiment:   [--runs N] [--samples N] [--dataset PATH] [--scalar-breed]\n"
+                 "  experiment:   [--runs N] [--samples N] [--dataset PATH]\n"
                  "  characterize: [--sensitivity] [--save-dataset PATH]\n"
                  "  flag mode:    [--pareto METRIC2] [--checkpoint PATH] [--checkpoint-every N]\n"
                  "                [--resume PATH] [--die-at-gen N] [--retries N]\n"
@@ -304,7 +302,6 @@ CliOptions parse(int argc, char** argv)
         }
         else if (arg == "--store") opt.store = need_value(i);
         else if (arg == "--store-max-bytes") opt.store_max_bytes = u64(i);
-        else if (arg == "--scalar-breed") opt.scalar_breed = true;
         else if (arg == "--job") opt.job_spec = need_value(i);
         else if (arg == "--serve-jobs") opt.serve_jobs_port = port(i);
         else if (arg == "--jobs-capacity") opt.jobs_capacity = count(i);
@@ -333,7 +330,6 @@ CliOptions parse(int argc, char** argv)
     const Mode mode = mode_of(opt);
     const std::string experiment_only = " applies only to the multi-run experiment mode";
     reject_if(opt.workers == 0, "--workers must be at least 1");
-    reject_if(mode != Mode::experiment && opt.scalar_breed, "--scalar-breed" + experiment_only);
     reject_if(mode != Mode::experiment && !opt.dataset.empty(), "--dataset" + experiment_only);
     reject_if(mode == Mode::flag_job && opt.guidance == "estimated",
               "--guidance estimated" + experiment_only);
@@ -499,7 +495,6 @@ int run_experiment(const CliOptions& opt, const ip::IpGenerator& generator, Metr
     cfg.ga.seed = opt.seed;
     cfg.ga.eval_workers = opt.workers;
     cfg.ga.obs = inst;
-    cfg.ga.scalar_breed = opt.scalar_breed;
     if (store) {
         cfg.ga.store = store;
         cfg.ga.store_namespace =
