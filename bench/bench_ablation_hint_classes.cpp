@@ -14,7 +14,7 @@
 
 #include "fft/fft_generator.hpp"
 #include "fig_common.hpp"
-#include "synth/job_queue.hpp"
+#include "sim_cluster.hpp"
 
 using namespace nautilus;
 using ip::Metric;
@@ -47,10 +47,10 @@ HintSet only_class(const HintSet& full, const std::string& klass)
 }
 
 // One GA run through the parallel evaluation pipeline with a synthetic slow
-// EvalFn (each cache miss "synthesizes" for a few ms).  A simulated
-// synthesis cluster with the same worker count rides along via the batch
-// observer, so the report shows simulated EDA time next to the measured
-// wall-clock of the real thread pool.
+// EvalFn (each cache miss "synthesizes" for a few ms).  The EvalFn also logs
+// each miss's synthesis duration; replaying the log's per-generation batches
+// on a simulated synthesis cluster with the same worker count puts
+// simulated EDA time next to the measured wall-clock of the real thread pool.
 struct ParallelProbe {
     RunResult result;
     double simulated_minutes = 0.0;
@@ -62,31 +62,26 @@ ParallelProbe run_parallel_probe(const fft::FftGenerator& gen, const ip::Dataset
                                  std::size_t workers)
 {
     const EvalFn fast = ds.lookup_eval(query.metric, exp::query_eval(gen, query));
-    const EvalFn slow = [fast](const Genome& g) {
+    auto log = std::make_shared<bench::JobLog>();
+    const EvalFn slow = [fast, log](const Genome& g) {
         std::this_thread::sleep_for(std::chrono::milliseconds(3));  // fake CAD runtime
-        return fast(g);
+        const Evaluation e = fast(g);
+        log->record(bench::synthesis_minutes(e.feasible ? e.value : 500.0, g.key()));
+        return e;
     };
 
-    auto cluster = std::make_shared<synth::SynthesisCluster>(workers);
     GaConfig cfg;
     cfg.seed = 2015;
     cfg.generations = 20;
     cfg.eval_workers = workers;
-    cfg.eval_observer = [cluster, fast](std::span<const Genome> fresh, double) {
-        std::vector<double> jobs;
-        jobs.reserve(fresh.size());
-        for (const Genome& g : fresh) {
-            const Evaluation e = fast(g);
-            jobs.push_back(synth::synthesis_minutes(e.feasible ? e.value : 500.0, g.key()));
-        }
-        cluster->run_batch(jobs);
-    };
 
     const GaEngine engine{gen.space(), cfg, query.direction, slow, hints};
     ParallelProbe probe;
     probe.result = engine.run();
-    probe.simulated_minutes = cluster->elapsed_minutes();
-    probe.utilization = cluster->utilization();
+    bench::SynthesisCluster cluster{workers};
+    bench::replay_schedule(cluster, log->batches(probe.result.history));
+    probe.simulated_minutes = cluster.elapsed_minutes();
+    probe.utilization = cluster.utilization();
     return probe;
 }
 

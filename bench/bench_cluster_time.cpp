@@ -14,7 +14,7 @@
 #include "core/hint_estimator.hpp"
 #include "fig_common.hpp"
 #include "noc/router_generator.hpp"
-#include "synth/job_queue.hpp"
+#include "sim_cluster.hpp"
 
 using namespace nautilus;
 using ip::Metric;
@@ -33,13 +33,13 @@ struct ReplayedRun {
 ReplayedRun capture_run(const ip::IpGenerator& gen, const HintSet& hints,
                         std::uint64_t seed)
 {
-    // Log each distinct evaluation's synthesis duration in issue order.
-    auto log = std::make_shared<std::vector<double>>();
+    // Log each distinct evaluation's synthesis duration.
+    auto log = std::make_shared<bench::JobLog>();
     const EvalFn base_eval = gen.metric_eval(Metric::freq_mhz);
     const EvalFn logging_eval = [&gen, base_eval, log](const Genome& g) {
         const auto mv = gen.evaluate(g);
         const double luts = mv.feasible ? mv.get(Metric::area_luts) : 500.0;
-        log->push_back(synth::synthesis_minutes(luts, g.key()));
+        log->record(bench::synthesis_minutes(luts, g.key()));
         return base_eval(g);
     };
 
@@ -50,13 +50,7 @@ ReplayedRun capture_run(const ip::IpGenerator& gen, const HintSet& hints,
 
     ReplayedRun out;
     out.curve = r.curve;
-    std::size_t consumed = 0;
-    for (const auto& g : r.history) {
-        const std::size_t upto = g.distinct_evals;
-        out.batches.emplace_back(log->begin() + static_cast<std::ptrdiff_t>(consumed),
-                                 log->begin() + static_cast<std::ptrdiff_t>(upto));
-        consumed = upto;
-    }
+    out.batches = log->batches(r.history);
     return out;
 }
 
@@ -85,8 +79,8 @@ int main()
                 "nautilus hours to target", "speedup");
     for (std::size_t workers : {1u, 2u, 5u, 10u, 20u}) {
         auto hours_to_target = [&](const ReplayedRun& run) -> double {
-            synth::SynthesisCluster cluster{workers};
-            const auto clock = synth::replay_schedule(cluster, run.batches);
+            bench::SynthesisCluster cluster{workers};
+            const auto clock = bench::replay_schedule(cluster, run.batches);
             // Find the generation whose cumulative distinct evals first meets
             // the target, then read the simulated clock there.
             const auto evals_needed = run.curve.evals_to_reach(target);
@@ -112,8 +106,8 @@ int main()
     // Cluster-utilization view: population size caps parallelism.
     std::puts("\ncluster utilization replaying the guided run:");
     for (std::size_t workers : {5u, 10u, 20u}) {
-        synth::SynthesisCluster cluster{workers};
-        synth::replay_schedule(cluster, guided.batches);
+        bench::SynthesisCluster cluster{workers};
+        bench::replay_schedule(cluster, guided.batches);
         std::printf("  %2zu workers: %5.1f days wall-clock, utilization %4.1f%%\n", workers,
                     cluster.elapsed_minutes() / 60.0 / 24.0,
                     100.0 * cluster.utilization());

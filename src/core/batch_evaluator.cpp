@@ -6,6 +6,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 namespace nautilus {
 
@@ -174,21 +175,6 @@ void BatchEvaluator::record_wave(const WaveRecord& wave)
         .add("distinct_total", wave.distinct_total)
         .add("calls_total", wave.calls_total);
     inst_.tracer.emit(std::move(event));
-}
-
-void BatchEvaluator::notify_observer(std::span<const Genome> genomes,
-                                     const std::vector<unsigned char>& charged,
-                                     double seconds)
-{
-    if (!observer_) return;
-    std::vector<Genome> fresh;
-    for (std::size_t i = 0; i < genomes.size(); ++i)
-        if (charged[i]) fresh.push_back(genomes[i]);
-    // Which duplicate index "wins" the in-flight race varies with thread
-    // scheduling; sorting by key makes the reported set order deterministic.
-    std::sort(fresh.begin(), fresh.end(),
-              [](const Genome& a, const Genome& b) { return a.key() < b.key(); });
-    observer_(fresh, seconds);
 }
 
 }  // namespace nautilus

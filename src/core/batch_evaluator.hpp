@@ -22,20 +22,12 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <vector>
 
 #include "core/evaluator.hpp"
 #include "core/genome.hpp"
 #include "obs/obs.hpp"
 
 namespace nautilus {
-
-// Called after every batch with the genomes that were freshly evaluated in
-// that batch (cache misses only, sorted by genome key so the order is
-// thread-schedule independent) and the measured wall-clock seconds the
-// batch took.  Used to drive a simulated synthesis cluster alongside the
-// real pool (bench drivers feed synth::SynthesisCluster::run_batch).
-using BatchObserver = std::function<void(std::span<const Genome> fresh, double wall_seconds)>;
 
 class BatchEvaluator {
 public:
@@ -49,8 +41,6 @@ public:
     BatchEvaluator& operator=(const BatchEvaluator&) = delete;
 
     std::size_t workers() const { return workers_; }
-
-    void set_observer(BatchObserver observer) { observer_ = std::move(observer); }
 
     // Attach tracing + metrics.  With a live tracer every evaluate() call
     // emits one "eval_wave" event (wave size, wall/busy seconds, fresh vs.
@@ -70,16 +60,18 @@ public:
         if (out.size() < genomes.size())
             throw std::invalid_argument("BatchEvaluator::evaluate: output span too small");
         const bool instrumented = inst_.tracing() || inst_.registry() != nullptr;
+        obs::ProgressTracker* progress = inst_.progress_tracker();
+        // The engine evaluates one wave at a time, so the memo's distinct
+        // count grows by exactly this wave's cache misses.
+        const bool counting = instrumented || progress != nullptr;
+        const std::size_t distinct_before = counting ? evaluator.distinct_evaluations() : 0;
         const std::size_t waits_before = instrumented ? evaluator.inflight_waits() : 0;
         const auto start = std::chrono::steady_clock::now();
-        std::vector<unsigned char> charged(genomes.size(), 0);
         std::atomic<std::uint64_t> busy_ns{0};
         run_batch(genomes.size(), [&](std::size_t i) {
             const auto item_start = instrumented ? std::chrono::steady_clock::now()
                                                  : std::chrono::steady_clock::time_point{};
-            bool fresh = false;
-            out[i] = evaluator.evaluate(genomes[i], &fresh);
-            charged[i] = fresh ? 1 : 0;
+            out[i] = evaluator.evaluate(genomes[i]);
             if (instrumented)
                 busy_ns.fetch_add(static_cast<std::uint64_t>(
                                       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -90,10 +82,10 @@ public:
         const double seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
         eval_seconds_ += seconds;
-        std::size_t fresh = 0;
-        for (const unsigned char c : charged) fresh += c;
-        if (obs::ProgressTracker* progress = inst_.progress_tracker())
-            progress->on_wave(genomes.size(), fresh, seconds);
+        if (!counting) return;
+        const std::size_t distinct_total = evaluator.distinct_evaluations();
+        const std::size_t fresh = distinct_total - distinct_before;
+        if (progress != nullptr) progress->on_wave(genomes.size(), fresh, seconds);
         if (instrumented) {
             WaveRecord wave;
             wave.size = genomes.size();
@@ -101,20 +93,10 @@ public:
             wave.waits = evaluator.inflight_waits() - waits_before;
             wave.seconds = seconds;
             wave.busy_seconds = static_cast<double>(busy_ns.load()) * 1e-9;
-            wave.distinct_total = evaluator.distinct_evaluations();
+            wave.distinct_total = distinct_total;
             wave.calls_total = evaluator.total_calls();
             record_wave(wave);
         }
-        notify_observer(genomes, charged, seconds);
-    }
-
-    template <typename Value>
-    std::vector<Value> evaluate(BasicCachingEvaluator<Value>& evaluator,
-                                std::span<const Genome> genomes)
-    {
-        std::vector<Value> out(genomes.size());
-        evaluate(evaluator, genomes, std::span<Value>{out});
-        return out;
     }
 
     // Cumulative measured wall-clock spent inside evaluate() calls.
@@ -138,14 +120,10 @@ private:
     // first exception thrown by any item is rethrown once all items finish.
     void run_batch(std::size_t count, const std::function<void(std::size_t)>& item);
 
-    void notify_observer(std::span<const Genome> genomes,
-                         const std::vector<unsigned char>& charged, double seconds);
-
     void record_wave(const WaveRecord& wave);
 
     std::size_t workers_;
     Pool* pool_ = nullptr;
-    BatchObserver observer_;
     double eval_seconds_ = 0.0;
 
     obs::Instrumentation inst_;

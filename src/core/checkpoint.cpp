@@ -148,6 +148,21 @@ void write_eval_state(std::ostream& out, const EvalState<Value>& s, WriteValue v
         << f.timeouts << ' ' << f.quarantined << ' ' << f.penalties << '\n';
 }
 
+// Throws naming `section` and the index of the first of `items` whose
+// genome (`genome_of(item)`) does not fit `space`.
+template <typename Items, typename GenomeOf>
+void check_fit(const ParameterSpace& space, const std::string& path, const char* section,
+               const Items& items, GenomeOf genome_of)
+{
+    for (std::size_t i = 0; i < items.size(); ++i)
+        if (!genome_of(items[i]).compatible_with(space))
+            throw std::runtime_error("checkpoint " + path + ": " + section + " genome " +
+                                     std::to_string(i) + " does not fit the space");
+}
+
+constexpr auto itself = [](const Genome& g) -> const Genome& { return g; };
+constexpr auto cached = [](const auto& entry) -> const Genome& { return entry.first; };
+
 void commit(const std::string& path, const std::string& content)
 {
     // Full durability discipline (tmp + fsync + rename + directory fsync);
@@ -348,28 +363,49 @@ Nsga2Checkpoint load_nsga2_checkpoint(const std::string& path)
     cp.objectives = r.size();
     r.expect("rng");
     for (auto& word : cp.rng_state) word = r.u64();
-    r.expect("population");
-    const std::size_t pop = r.size();
-    cp.population.resize(pop);
-    cp.population_values.resize(pop);
-    for (std::size_t i = 0; i < pop; ++i) {
-        cp.population[i] = r.genome();
-        cp.population_values[i] = r.values();
-    }
-    r.expect("archive");
-    const std::size_t arch = r.size();
-    cp.archive.resize(arch);
-    cp.archive_values.resize(arch);
-    for (std::size_t i = 0; i < arch; ++i) {
-        cp.archive[i] = r.genome();
-        cp.archive_values[i] = r.values();
-    }
+    const auto check_arity = [&](const char* section, std::size_t index,
+                                 const std::vector<double>& values) {
+        if (values.size() != cp.objectives)
+            r.fail(std::string{section} + " value " + std::to_string(index) + " has " +
+                   std::to_string(values.size()) + " objectives, expected " +
+                   std::to_string(cp.objectives));
+    };
+    const auto read_members = [&](const char* section, std::vector<Genome>& genomes,
+                                  std::vector<std::vector<double>>& values) {
+        r.expect(section);
+        genomes.resize(r.size());
+        values.resize(genomes.size());
+        for (std::size_t i = 0; i < genomes.size(); ++i) {
+            genomes[i] = r.genome();
+            values[i] = r.values();
+            check_arity(section, i, values[i]);
+        }
+    };
+    read_members("population", cp.population, cp.population_values);
+    read_members("archive", cp.archive, cp.archive_values);
     r.eval_state(cp, [&](ObjectiveValues& v) {
         if (r.boolean()) v = r.values();
         else v = std::nullopt;
     });
+    for (std::size_t i = 0; i < cp.cache.size(); ++i)
+        if (cp.cache[i].second) check_arity("cache", i, *cp.cache[i].second);
     r.expect("end");
     return cp;
+}
+
+void check_genomes(const GaCheckpoint& cp, const ParameterSpace& space, const std::string& path)
+{
+    check_fit(space, path, "population", cp.population, itself);
+    if (cp.have_best) check_fit(space, path, "best", std::vector{cp.best_genome}, itself);
+    check_fit(space, path, "cache", cp.cache, cached);
+}
+
+void check_genomes(const Nsga2Checkpoint& cp, const ParameterSpace& space,
+                   const std::string& path)
+{
+    check_fit(space, path, "population", cp.population, itself);
+    check_fit(space, path, "archive", cp.archive, itself);
+    check_fit(space, path, "cache", cp.cache, cached);
 }
 
 }  // namespace nautilus

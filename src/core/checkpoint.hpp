@@ -84,8 +84,19 @@ void save_checkpoint(const std::string& path, const Nsga2Checkpoint& cp);
 std::string checkpoint_engine(const std::string& path);
 
 // Parse a checkpoint.  Throws std::runtime_error on missing file, version
-// mismatch, wrong engine tag or malformed content.
+// mismatch, wrong engine tag or malformed content; for NSGA-II that includes
+// a feasible value (population, archive or cache) whose length is not
+// `objectives`.
 GaCheckpoint load_ga_checkpoint(const std::string& path);
 Nsga2Checkpoint load_nsga2_checkpoint(const std::string& path);
+
+// Throws std::runtime_error naming `path`, the section and the index of the
+// first genome that is not compatible_with `space`.  Engines call it before
+// resuming, so a checkpoint that does not fit the run fails before
+// generation one instead of inside an operator mid-run.
+void check_genomes(const GaCheckpoint& cp, const ParameterSpace& space,
+                   const std::string& path);
+void check_genomes(const Nsga2Checkpoint& cp, const ParameterSpace& space,
+                   const std::string& path);
 
 }  // namespace nautilus

@@ -194,8 +194,6 @@ public:
     EvalPipeline(const EvalPipeline&) = delete;
     EvalPipeline& operator=(const EvalPipeline&) = delete;
 
-    void set_observer(BatchObserver observer) { batch_.set_observer(std::move(observer)); }
-
     // Evaluate genomes[i] into out[i] as one wave across the pool.
     void evaluate(std::span<const Genome> genomes, std::span<Value> out)
     {

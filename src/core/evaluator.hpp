@@ -54,11 +54,9 @@ public:
 
     // Returns the memoized evaluation, computing (and charging) on miss.
     // Safe to call from several threads; a genome in flight on another
-    // thread is awaited, not recomputed.  If `charged` is non-null it
-    // reports whether *this* call performed the underlying evaluation.
-    Value evaluate(const Genome& genome, bool* charged = nullptr)
+    // thread is awaited, not recomputed.
+    Value evaluate(const Genome& genome)
     {
-        if (charged) *charged = false;
         std::unique_lock lock{mutex_};
         ++calls_;
         bool counted_wait = false;
@@ -76,7 +74,6 @@ public:
         }
         cache_.emplace(genome, std::nullopt);
         ++distinct_;
-        if (charged) *charged = true;
         lock.unlock();
         Value result;
         try {
@@ -86,7 +83,6 @@ public:
             lock.lock();
             cache_.erase(genome);
             --distinct_;
-            if (charged) *charged = false;
             ready_.notify_all();
             throw;
         }
@@ -116,17 +112,6 @@ public:
     {
         std::lock_guard lock{mutex_};
         return inflight_waits_;
-    }
-
-    // Forget everything (fresh query on the same IP).  Must not race with
-    // in-flight evaluate() calls.
-    void clear()
-    {
-        std::lock_guard lock{mutex_};
-        cache_.clear();
-        distinct_ = 0;
-        calls_ = 0;
-        inflight_waits_ = 0;
     }
 
     // Checkpointable view of the cache: published entries plus the

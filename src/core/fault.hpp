@@ -19,8 +19,8 @@
 // Accounting invariant (validated by `nautilus_trace inspect --check`):
 // every guarded call makes >= 1 attempt, so
 //     attempts == guarded calls (== cache misses) + retries.
-// Outcomes (ok / failed / timed_out, attempt counts, penalty flag) are kept
-// per design point and surfaced through trace events and eval.* counters.
+// Each call's outcome (ok / failed / timed_out, attempt count, penalty flag)
+// goes to the caller and is surfaced through trace events and eval.* counters.
 
 #include <atomic>
 #include <chrono>
@@ -35,7 +35,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/genome.hpp"
@@ -103,7 +102,7 @@ struct FaultCounters {
 // penalties are memoized like ordinary results and repeated requests for a
 // quarantined point are free cache hits.  Thread-safe: concurrent guarded
 // calls (one per distinct in-flight genome, by the cache's dedup contract)
-// only share atomics and a small mutex-protected outcome map.
+// only share atomics and the mutex-protected quarantine list.
 template <typename Value>
 class FaultTolerantEvaluator {
 public:
@@ -159,7 +158,7 @@ public:
             if (result.status == EvalStatus::ok) {
                 outcome.status = EvalStatus::ok;
                 outcome.error.clear();
-                record(key, outcome, out);
+                if (out != nullptr) *out = outcome;
                 return std::move(*result.value);
             }
             outcome.status = result.status;
@@ -180,7 +179,7 @@ public:
         }
         // Attempts exhausted.
         if (!policy_.tolerate_failures) {
-            record(key, outcome, out);
+            if (out != nullptr) *out = outcome;
             if (last_error) std::rethrow_exception(last_error);
             throw std::runtime_error("FaultTolerantEvaluator: evaluation timed out (" +
                                      outcome.error + ")");
@@ -199,17 +198,8 @@ public:
                 .add("status", eval_status_name(outcome.status));
             inst_.tracer.emit(std::move(ev));
         }
-        record(key, outcome, out);
+        if (out != nullptr) *out = outcome;
         return penalty_;
-    }
-
-    // Outcome of the guarded call for a design point, if one happened.
-    std::optional<EvalOutcome> outcome_for(const Genome& genome) const
-    {
-        std::lock_guard lock{mutex_};
-        const auto it = outcomes_.find(genome.key());
-        if (it == outcomes_.end()) return std::nullopt;
-        return it->second;
     }
 
     FaultCounters counters() const
@@ -334,13 +324,6 @@ private:
         return out;
     }
 
-    void record(std::uint64_t key, const EvalOutcome& outcome, EvalOutcome* out)
-    {
-        if (out != nullptr) *out = outcome;
-        std::lock_guard lock{mutex_};
-        outcomes_[key] = outcome;
-    }
-
     static void bump(std::atomic<std::uint64_t>& counter, obs::Counter* metric)
     {
         counter.fetch_add(1, std::memory_order_relaxed);
@@ -362,7 +345,6 @@ private:
     AtomicCounters counters_;
     mutable std::mutex mutex_;
     std::vector<std::uint64_t> quarantine_;
-    std::unordered_map<std::uint64_t, EvalOutcome> outcomes_;
 
     obs::Instrumentation inst_;
     obs::Counter* m_attempts_ = nullptr;

@@ -38,12 +38,6 @@ struct FaultInjectingEvaluator::AttemptMap {
         std::lock_guard lock{mutex};
         return ++counts[key];
     }
-
-    void clear()
-    {
-        std::lock_guard lock{mutex};
-        counts.clear();
-    }
 };
 
 FaultInjectingEvaluator::FaultInjectingEvaluator(EvalFn inner, FaultInjectionConfig config)
@@ -78,7 +72,6 @@ Evaluation FaultInjectingEvaluator::evaluate(const Genome& genome)
     const double draw = static_cast<double>(h >> 11) * 0x1.0p-53;
 
     if (draw < config_.hang_rate) {
-        hangs_.fetch_add(1, std::memory_order_relaxed);
         std::this_thread::sleep_for(std::chrono::duration<double>{config_.hang_seconds});
         // A stalled-but-surviving job still answers; a watchdog shorter than
         // hang_seconds turns this into a timed_out attempt instead.
@@ -100,15 +93,6 @@ Evaluation FaultInjectingEvaluator::evaluate(const Genome& genome)
         return eval;
     }
     return inner_(genome);
-}
-
-void FaultInjectingEvaluator::reset()
-{
-    calls_.store(0, std::memory_order_relaxed);
-    failures_.store(0, std::memory_order_relaxed);
-    hangs_.store(0, std::memory_order_relaxed);
-    flaky_.store(0, std::memory_order_relaxed);
-    attempts_->clear();
 }
 
 }  // namespace nautilus

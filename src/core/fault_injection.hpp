@@ -57,25 +57,17 @@ public:
     // Evaluate one design point, possibly misbehaving first.
     Evaluation evaluate(const Genome& genome);
 
-    const FaultInjectionConfig& config() const { return config_; }
-
-    std::uint64_t calls() const { return calls_.load(std::memory_order_relaxed); }
     std::uint64_t injected_failures() const
     {
         return failures_.load(std::memory_order_relaxed);
     }
-    std::uint64_t injected_hangs() const { return hangs_.load(std::memory_order_relaxed); }
     std::uint64_t injected_flaky() const { return flaky_.load(std::memory_order_relaxed); }
-
-    // Forget per-design attempt history and counters (fresh run).
-    void reset();
 
 private:
     EvalFn inner_;
     FaultInjectionConfig config_;
     std::atomic<std::uint64_t> calls_{0};
     std::atomic<std::uint64_t> failures_{0};
-    std::atomic<std::uint64_t> hangs_{0};
     std::atomic<std::uint64_t> flaky_{0};
 
     struct AttemptMap;  // per-genome attempt indices, mutex-protected

@@ -101,6 +101,7 @@ RunResult GaEngine::resume(const std::string& checkpoint_path) const
         throw std::runtime_error(
             "GaEngine::resume: checkpoint " + checkpoint_path +
             " was written with a different space/config/hints/seed");
+    check_genomes(cp, space_, checkpoint_path);
     return run_impl(cp.seed, &cp);
 }
 
@@ -108,7 +109,6 @@ RunResult GaEngine::run_impl(std::uint64_t seed, const GaCheckpoint* restored) c
 {
     Rng rng{seed};
     EvalPipeline<Evaluation> pipe{eval_, config_, config_.fault_penalty};
-    pipe.set_observer(config_.eval_observer);
     const obs::Tracer& tracer = config_.obs.tracer;
     obs::Counter* m_generations = nullptr;
     if (obs::MetricsRegistry* reg = config_.obs.registry())

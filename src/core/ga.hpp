@@ -47,10 +47,6 @@ struct GaConfig : EvalPipelineConfig, CheckpointConfig {
     // improvement (0 = run all generations).
     std::size_t stall_generations = 0;
 
-    // Invoked after each generation's evaluation batch with the freshly
-    // evaluated genomes and the measured wall-clock -- e.g. to drive a
-    // simulated synth::SynthesisCluster alongside the real pool.
-    BatchObserver eval_observer;
     // With fault.tolerate_failures on, evaluations that still fail after the
     // retry ladder are quarantined and answered with this penalty
     // (infeasible by default) instead of aborting the run.

@@ -141,6 +141,7 @@ MultiObjectiveResult Nsga2Engine::resume(const std::string& checkpoint_path) con
             " was written with a different space/config/hints/seed");
     if (cp.objectives != directions_.size())
         throw std::runtime_error("Nsga2Engine::resume: objective count mismatch");
+    check_genomes(cp, space_, checkpoint_path);
     return run_impl(cp.seed, &cp);
 }
 

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "core/local_search.hpp"
 #include "core/nsga2.hpp"
 #include "core/random_search.hpp"
+#include "obs/trace.hpp"
 
 namespace nautilus {
 namespace {
@@ -32,6 +34,15 @@ ParameterSpace small_space()
 Evaluation sum_eval(const Genome& g)
 {
     return {true, static_cast<double>(g.gene(0) + g.gene(1))};
+}
+
+// One wave over `genomes`, results in genome order.
+std::vector<Evaluation> evaluate_all(BatchEvaluator& batch, CachingEvaluator& ev,
+                                     const std::vector<Genome>& genomes)
+{
+    std::vector<Evaluation> out(genomes.size());
+    batch.evaluate(ev, std::span<const Genome>{genomes}, std::span<Evaluation>{out});
+    return out;
 }
 
 // ---- CachingEvaluator thread safety ----------------------------------------
@@ -110,7 +121,7 @@ TEST(BatchEvaluator, DuplicatesWithinBatchComputedOnce)
     BatchEvaluator batch{4};
 
     const std::vector<Genome> genomes(16, Genome{{3, 4}});
-    const auto out = batch.evaluate(ev, genomes);
+    const auto out = evaluate_all(batch, ev, genomes);
     EXPECT_EQ(calls.load(), 1);
     EXPECT_EQ(ev.distinct_evaluations(), 1u);
     EXPECT_EQ(ev.total_calls(), 16u);
@@ -136,33 +147,36 @@ TEST(BatchEvaluator, ActuallyRunsConcurrently)
     std::vector<Genome> genomes;
     for (std::size_t rank = 0; rank < 8; ++rank)
         genomes.push_back(Genome::from_rank(space, rank));
-    batch.evaluate(ev, genomes);
+    evaluate_all(batch, ev, genomes);
     EXPECT_GT(peak.load(), 1);  // at least two evaluations overlapped
     EXPECT_GT(batch.eval_seconds(), 0.0);
 }
 
-TEST(BatchEvaluator, ObserverSeesFreshGenomesOnly)
+TEST(BatchEvaluator, WaveEventsCountFreshGenomesOnly)
 {
     CachingEvaluator ev{sum_eval};
     BatchEvaluator batch{4};
-    std::vector<std::size_t> fresh_counts;
-    batch.set_observer([&](std::span<const Genome> fresh, double) {
-        fresh_counts.push_back(fresh.size());
-        // Deterministic presentation order regardless of thread schedule.
-        for (std::size_t i = 1; i < fresh.size(); ++i)
-            EXPECT_LT(fresh[i - 1].key(), fresh[i].key());
-    });
+    auto sink = std::make_shared<obs::MemorySink>();
+    obs::Instrumentation inst;
+    inst.tracer = obs::Tracer{sink};
+    batch.set_instrumentation(inst);
 
     const Genome a{{1, 1}};
     const Genome b{{2, 2}};
     const std::vector<Genome> first{a, b, a, b, a};
-    batch.evaluate(ev, first);
+    evaluate_all(batch, ev, first);
     const std::vector<Genome> second{a, b};  // fully cached: no new jobs
-    batch.evaluate(ev, second);
+    evaluate_all(batch, ev, second);
 
-    ASSERT_EQ(fresh_counts.size(), 2u);
-    EXPECT_EQ(fresh_counts[0], 2u);
-    EXPECT_EQ(fresh_counts[1], 0u);
+    const auto waves = sink->events_of("eval_wave");
+    ASSERT_EQ(waves.size(), 2u);
+    EXPECT_EQ(waves[0].number("size"), 5.0);
+    EXPECT_EQ(waves[0].number("fresh"), 2.0);
+    EXPECT_EQ(waves[0].number("hits"), 3.0);
+    EXPECT_EQ(waves[0].number("distinct_total"), 2.0);
+    EXPECT_EQ(waves[1].number("fresh"), 0.0);
+    EXPECT_EQ(waves[1].number("hits"), 2.0);
+    EXPECT_EQ(waves[1].number("distinct_total"), 2.0);
 }
 
 TEST(BatchEvaluator, PropagatesEvalExceptions)
@@ -199,11 +213,11 @@ TEST(BatchEvaluator, SerialPathFinishesBatchBeforeRethrowingLikeThePool)
 
     CachingEvaluator serial_ev = make_eval();
     BatchEvaluator serial{1};
-    EXPECT_THROW(serial.evaluate(serial_ev, genomes), std::runtime_error);
+    EXPECT_THROW(evaluate_all(serial, serial_ev, genomes), std::runtime_error);
 
     CachingEvaluator pooled_ev = make_eval();
     BatchEvaluator pooled{4};
-    EXPECT_THROW(pooled.evaluate(pooled_ev, genomes), std::runtime_error);
+    EXPECT_THROW(evaluate_all(pooled, pooled_ev, genomes), std::runtime_error);
 
     // Same cache state either way: every non-throwing item was still
     // evaluated and charged.

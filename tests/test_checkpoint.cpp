@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/nsga2.hpp"
+#include "obs/trace.hpp"
 
 namespace nautilus {
 namespace {
@@ -460,6 +462,158 @@ TEST(CheckpointResume, Nsga2ResumeRejectsWrongObjectiveCount)
         {Direction::maximize, Direction::minimize, Direction::minimize}, three,
         HintSet::none(space)};
     EXPECT_THROW(mismatched.resume(path), std::runtime_error);
+    std::remove(path.c_str());
+}
+
+// -- resume validates restored state against the run -----------------------
+
+// Rewrites member `index` of `section` (the lines after its "<section> N"
+// header) by handing its tokens to `edit`.
+template <typename Edit>
+void tamper(const std::string& path, const std::string& section, std::size_t index, Edit edit)
+{
+    std::istringstream in{slurp(path)};
+    std::string out;
+    std::string line;
+    std::size_t target = std::string::npos;
+    for (std::size_t n = 0; std::getline(in, line); ++n) {
+        if (target == std::string::npos && line.rfind(section + " ", 0) == 0)
+            target = n + 1 + index;
+        if (n == target) {
+            std::istringstream words{line};
+            std::vector<std::string> tokens;
+            for (std::string w; words >> w;) tokens.push_back(w);
+            edit(tokens);
+            line.clear();
+            for (const std::string& t : tokens) line += (line.empty() ? "" : " ") + t;
+        }
+        out += line + '\n';
+    }
+    ASSERT_NE(target, std::string::npos) << "no section " << section;
+    spit(path, out);
+}
+
+// Member tokens are "<genes> g... [<values> v...]": drop the last gene.
+void drop_gene(std::vector<std::string>& t)
+{
+    const std::size_t genes = std::stoul(t[0]);
+    t.erase(t.begin() + static_cast<std::ptrdiff_t>(genes));
+    t[0] = std::to_string(genes - 1);
+}
+
+// Gene 0 beyond every toy_space domain.
+void widen_gene(std::vector<std::string>& t)
+{
+    t[1] = "99";
+}
+
+// Drop the last objective of a population/archive member's values.
+void drop_objective(std::vector<std::string>& t)
+{
+    const std::size_t at = 1 + std::stoul(t[0]);  // the value count
+    t[at] = std::to_string(std::stoul(t[at]) - 1);
+    t.pop_back();
+}
+
+// `resume` must throw a std::runtime_error naming every one of `parts`
+// before any generation runs (`sink` saw no event).
+template <typename Resume>
+void expect_rejected(Resume resume, const obs::MemorySink& sink,
+                     const std::vector<std::string>& parts)
+{
+    try {
+        resume();
+        ADD_FAILURE() << "resume accepted a tampered checkpoint";
+    }
+    catch (const std::runtime_error& e) {
+        for (const std::string& part : parts)
+            EXPECT_NE(std::string{e.what()}.find(part), std::string::npos)
+                << "'" << part << "' missing from: " << e.what();
+    }
+    EXPECT_EQ(sink.size(), 0u);
+}
+
+TEST(CheckpointResume, GaResumeRejectsGenomesThatDoNotFitTheSpace)
+{
+    const auto space = toy_space();
+    const std::string path = temp_path("ga_tampered");
+    GaConfig halting = golden_config(1);
+    halting.checkpoint_path = path;
+    halting.halt_at_generation = 10;
+    ASSERT_TRUE(GaEngine(space, halting, Direction::maximize, sum_eval, HintSet::none(space))
+                    .run()
+                    .halted);
+    const std::string original = slurp(path);
+
+    auto sink = std::make_shared<obs::MemorySink>();
+    GaConfig traced = golden_config(1);
+    traced.obs.tracer = obs::Tracer{sink};
+    const GaEngine engine{space, traced, Direction::maximize, sum_eval, HintSet::none(space)};
+    const auto resume = [&] { engine.resume(path); };
+
+    tamper(path, "population", 3, drop_gene);
+    expect_rejected(resume, *sink, {path, "population genome 3", "does not fit the space"});
+    spit(path, original);
+    tamper(path, "cache", 5, widen_gene);
+    expect_rejected(resume, *sink, {path, "cache genome 5", "does not fit the space"});
+    spit(path, original);
+    EXPECT_NO_THROW(resume());  // the untampered file still resumes
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointResume, Nsga2ResumeRejectsGenomesAndValuesThatDoNotFitTheRun)
+{
+    const auto space = toy_space();
+    const MultiEvalFn eval = [](const Genome& g) -> std::optional<std::vector<double>> {
+        if (g.gene(0) == 0) return std::nullopt;
+        return std::vector<double>{static_cast<double>(g.gene(0) + g.gene(1)),
+                                   static_cast<double>(g.gene(2) * g.gene(3))};
+    };
+    const std::vector<Direction> dirs{Direction::maximize, Direction::minimize};
+    const std::string path = temp_path("nsga2_tampered");
+    MultiObjectiveConfig halting;
+    halting.generations = 20;
+    halting.seed = 5;
+    halting.checkpoint_path = path;
+    halting.halt_at_generation = 8;
+    ASSERT_TRUE(Nsga2Engine(space, halting, dirs, eval, HintSet::none(space)).run().halted);
+    const std::string original = slurp(path);
+
+    auto sink = std::make_shared<obs::MemorySink>();
+    MultiObjectiveConfig traced;
+    traced.generations = 20;
+    traced.seed = 5;
+    traced.obs.tracer = obs::Tracer{sink};
+    const Nsga2Engine engine{space, traced, dirs, eval, HintSet::none(space)};
+    const auto resume = [&] { engine.resume(path); };
+
+    tamper(path, "population", 2, drop_gene);
+    expect_rejected(resume, *sink, {path, "population genome 2", "does not fit the space"});
+    spit(path, original);
+    tamper(path, "archive", 4, widen_gene);
+    expect_rejected(resume, *sink, {path, "archive genome 4", "does not fit the space"});
+    spit(path, original);
+    tamper(path, "population", 1, drop_objective);
+    expect_rejected(resume, *sink, {path, "population value 1 has 1 objectives, expected 2"});
+    spit(path, original);
+    tamper(path, "archive", 0, drop_objective);
+    expect_rejected(resume, *sink, {path, "archive value 0 has 1 objectives, expected 2"});
+    spit(path, original);
+
+    // A feasible cache entry reads "<genes> g... 1 <values> v...".
+    const Nsga2Checkpoint cp = load_nsga2_checkpoint(path);
+    std::size_t feasible = 0;
+    while (!cp.cache[feasible].second) ++feasible;
+    tamper(path, "cache", feasible, [](std::vector<std::string>& t) {
+        const std::size_t at = 2 + std::stoul(t[0]);
+        t[at] = "3";
+        t.push_back("0");
+    });
+    expect_rejected(resume, *sink,
+                    {path, "cache value " + std::to_string(feasible) +
+                               " has 3 objectives, expected 2"});
+    spit(path, original);
+    EXPECT_NO_THROW(resume());  // the untampered file still resumes
     std::remove(path.c_str());
 }
 

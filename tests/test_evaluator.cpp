@@ -65,22 +65,6 @@ TEST(CachingEvaluator, CachesInfeasibleResults)
     EXPECT_EQ(calls, 1);
 }
 
-TEST(CachingEvaluator, ClearResetsEverything)
-{
-    int calls = 0;
-    CachingEvaluator ev{[&](const Genome&) {
-        ++calls;
-        return Evaluation{true, 1.0};
-    }};
-    const Genome g{{0, 0}};
-    ev.evaluate(g);
-    ev.clear();
-    EXPECT_EQ(ev.distinct_evaluations(), 0u);
-    EXPECT_EQ(ev.total_calls(), 0u);
-    ev.evaluate(g);
-    EXPECT_EQ(calls, 2);  // recomputed after clear
-}
-
 TEST(CachingEvaluator, ManyGenomesAllDistinct)
 {
     CachingEvaluator ev{[](const Genome& g) {

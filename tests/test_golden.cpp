@@ -11,11 +11,13 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ga.hpp"
 #include "core/nautilus.hpp"
 #include "core/nsga2.hpp"
+#include "noc/network_generator.hpp"
 #include "noc/router_generator.hpp"
 #include "obs/lineage.hpp"
 
@@ -196,16 +198,10 @@ TEST(LineageGa, BirthStreamMatchesGoldenDigest)
 
 // ---- NSGA-II -----------------------------------------------------------------
 
-// Router freq_mhz (max) x area_luts (min) under strong author hints, with a
-// lineage tracker and tracer attached: the front, every birth record (the
-// archive's provenance) and the lineage summary.
-std::uint64_t nsga2_router_digest(std::size_t workers)
+// The two-metric objective an nsga2 job builds over `generator`.
+MultiEvalFn metric_pair(const ip::IpGenerator& generator, ip::Metric first, ip::Metric second)
 {
-    const noc::RouterGenerator generator;
-    const ip::Metric first = ip::Metric::freq_mhz;
-    const ip::Metric second = ip::Metric::area_luts;
-    const MultiEvalFn eval = [&generator, first,
-                              second](const Genome& g) -> std::optional<std::vector<double>> {
+    return [&generator, first, second](const Genome& g) -> std::optional<std::vector<double>> {
         const auto mv = generator.evaluate(g);
         if (!mv.feasible) return std::nullopt;
         const auto a = mv.try_get(first);
@@ -213,6 +209,26 @@ std::uint64_t nsga2_router_digest(std::size_t workers)
         if (!a || !b) return std::nullopt;
         return std::vector<double>{*a, *b};
     };
+}
+
+void add_front(Digest& d, const MultiObjectiveResult& r)
+{
+    d.add(std::uint64_t{r.front.size()});
+    for (const FrontPoint& p : r.front) {
+        d.add(p.genome.genes());
+        for (const double v : p.values) d.add(v);
+    }
+    d.add(std::uint64_t{r.distinct_evals});
+}
+
+// Router freq_mhz (max) x area_luts (min) under strong author hints, with a
+// lineage tracker and tracer attached: the front, every birth record (the
+// archive's provenance) and the lineage summary.
+std::uint64_t nsga2_router_digest(std::size_t workers)
+{
+    const noc::RouterGenerator generator;
+    const ip::Metric first = ip::Metric::freq_mhz;
+    const MultiEvalFn eval = metric_pair(generator, first, ip::Metric::area_luts);
     MultiObjectiveConfig cfg;
     cfg.generations = 8;
     cfg.seed = 2015;
@@ -227,12 +243,7 @@ std::uint64_t nsga2_router_digest(std::size_t workers)
     const MultiObjectiveResult r = engine.run();
 
     Digest d;
-    d.add(std::uint64_t{r.front.size()});
-    for (const FrontPoint& p : r.front) {
-        d.add(p.genome.genes());
-        for (const double v : p.values) d.add(v);
-    }
-    d.add(std::uint64_t{r.distinct_evals});
+    add_front(d, r);
     d.add(lineage_digest(*sink));
     return d.value();
 }
@@ -242,6 +253,53 @@ TEST(Nsga2Engine, RouterFrontAndLineageMatchGoldenDigest)
     // Worker count changes nothing, so both runs share one digest.
     EXPECT_EQ(nsga2_router_digest(1), 0x4a8878e7b5b0b26eull);
     EXPECT_EQ(nsga2_router_digest(4), 0x4a8878e7b5b0b26eull);
+}
+
+// The perfbench pareto_network shape: network bisection_gbps (max) x
+// power_mw (min), population 16, 80 generations.  Digests the front and each
+// generation's ranking and archive bookkeeping (fronts, front0, offspring,
+// archive), which an NSGA-II ranking or archive rewrite must reproduce.
+std::uint64_t nsga2_network_digest(GuidanceLevel level, std::size_t workers)
+{
+    const noc::NetworkGenerator generator;
+    const ip::Metric first = ip::Metric::bisection_gbps;
+    MultiObjectiveConfig cfg;
+    cfg.population_size = 16;
+    cfg.generations = 80;
+    cfg.seed = 2015;
+    cfg.eval_workers = workers;
+    auto sink = std::make_shared<obs::MemorySink>();
+    cfg.obs.tracer = obs::Tracer{sink};
+    const HintSet hints =
+        level == GuidanceLevel::none
+            ? HintSet::none(generator.space())
+            : apply_guidance(generator.author_hints(first), Direction::maximize, level);
+    const Nsga2Engine engine{generator.space(), cfg,
+                             {Direction::maximize, Direction::minimize},
+                             metric_pair(generator, first, ip::Metric::power_mw), hints};
+    const MultiObjectiveResult r = engine.run();
+
+    Digest d;
+    add_front(d, r);
+    const auto generations = sink->events_of("generation");
+    d.add(std::uint64_t{generations.size()});
+    for (const obs::TraceEvent& ev : generations)
+        for (const char* field : {"fronts", "front0", "offspring", "archive"})
+            d.add(ev.number(field).value_or(-1.0));
+    return d.value();
+}
+
+TEST(Nsga2Engine, NetworkFrontAndRankingMatchGoldenDigests)
+{
+    const std::pair<GuidanceLevel, std::uint64_t> goldens[] = {
+        {GuidanceLevel::none, 0x67211f413330a675ull},
+        {GuidanceLevel::weak, 0x37511503d10fed96ull},
+        {GuidanceLevel::strong, 0x8717bad4b2b02001ull},
+    };
+    for (const auto& [level, digest] : goldens)
+        for (const std::size_t workers : {1u, 4u})
+            EXPECT_EQ(nsga2_network_digest(level, workers), digest)
+                << "guidance " << static_cast<int>(level) << ", workers " << workers;
 }
 
 }  // namespace
