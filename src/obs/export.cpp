@@ -7,6 +7,7 @@
 #include <variant>
 
 #include "obs/format.hpp"
+#include "obs/json.hpp"
 #include "obs/lineage.hpp"
 
 namespace nautilus::obs {
@@ -45,27 +46,6 @@ bool ends_with(std::string_view s, std::string_view suffix)
     return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
 }
 
-void append_json_escaped(std::string& out, std::string_view s)
-{
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            }
-            else {
-                out += c;
-            }
-        }
-    }
-}
-
 // One Chrome trace-event object, sortable by timestamp.
 struct ChromeEvent {
     double ts_us = 0.0;
@@ -93,19 +73,15 @@ std::string args_json(const TraceEvent& ev)
             rendered = std::to_string(*u);
         else if (const double* d = std::get_if<double>(&value))
             rendered = std::isfinite(*d) ? format_value(*d) : "null";
-        else if (const std::string* s = std::get_if<std::string>(&value)) {
-            rendered = "\"";
-            append_json_escaped(rendered, *s);
-            rendered += '"';
-        }
+        else if (const std::string* s = std::get_if<std::string>(&value))
+            json::append_string(rendered, *s);
         else {
             continue;  // double arrays stay in the JSONL source
         }
         if (!first) out += ',';
         first = false;
-        out += '"';
-        append_json_escaped(out, key);
-        out += "\":";
+        json::append_string(out, key);
+        out += ':';
         out += rendered;
     }
     out += '}';
@@ -119,9 +95,9 @@ ChromeEvent complete_event(std::string_view name, double end_t, double seconds, 
     const double ts_us = std::max(end_t * 1e6 - dur_us, 0.0);
     ChromeEvent ev;
     ev.ts_us = ts_us;
-    ev.json = "{\"name\":\"";
-    append_json_escaped(ev.json, name);
-    ev.json += "\",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) +
+    ev.json = "{\"name\":";
+    json::append_string(ev.json, name);
+    ev.json += ",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) +
                ",\"ts\":" + format_us(ts_us) + ",\"dur\":" + format_us(dur_us) +
                ",\"args\":" + args + '}';
     return ev;
@@ -131,9 +107,9 @@ ChromeEvent counter_event(std::string_view name, double t, double value)
 {
     ChromeEvent ev;
     ev.ts_us = std::max(t * 1e6, 0.0);
-    ev.json = "{\"name\":\"";
-    append_json_escaped(ev.json, name);
-    ev.json += "\",\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":" + format_us(ev.ts_us) +
+    ev.json = "{\"name\":";
+    json::append_string(ev.json, name);
+    ev.json += ",\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":" + format_us(ev.ts_us) +
                ",\"args\":{\"value\":" + format_value(value) + "}}";
     return ev;
 }
@@ -142,9 +118,9 @@ ChromeEvent instant_event(std::string_view name, double t, const std::string& ar
 {
     ChromeEvent ev;
     ev.ts_us = std::max(t * 1e6, 0.0);
-    ev.json = "{\"name\":\"";
-    append_json_escaped(ev.json, name);
-    ev.json += "\",\"ph\":\"i\",\"s\":\"p\",\"pid\":1,\"tid\":1,\"ts\":" +
+    ev.json = "{\"name\":";
+    json::append_string(ev.json, name);
+    ev.json += ",\"ph\":\"i\",\"s\":\"p\",\"pid\":1,\"tid\":1,\"ts\":" +
                format_us(ev.ts_us) + ",\"args\":" + args + '}';
     return ev;
 }
@@ -248,43 +224,12 @@ void append_lineage_exposition(std::string& out, const LineageCounters& counters
     const auto u64 = [&gauge](const std::string& name, std::uint64_t value) {
         gauge(name, static_cast<double>(value));
     };
-    u64(p + "runs", counters.runs);
-    u64(p + "births", counters.births);
-    u64(p + "roots", counters.roots);
-    u64(p + "elites", counters.elites);
-    u64(p + "mutation_births", counters.mutation_births);
-    u64(p + "crossover_births", counters.crossover_births);
-    u64(p + "survived", counters.survived);
-    u64(p + "improved", counters.improved);
-    u64(p + "genes_fresh", counters.genes_fresh);
-    u64(p + "genes_inherited", counters.genes_inherited);
-    u64(p + "genes_crossed", counters.genes_crossed);
-    u64(p + "genes_uniform", counters.genes_uniform);
-    u64(p + "genes_bias", counters.genes_bias);
-    u64(p + "genes_target", counters.genes_target);
-    u64(p + "genes_repair", counters.genes_repair);
+    for (const LineageCounterField& f : k_lineage_counter_fields)
+        u64(p + f.name, counters.*f.member);
     if (!counters.have_last) return;
-    const LineageSummary& last = counters.last;
-    u64(p + "last_births", last.births);
-    u64(p + "last_survived", last.survived);
-    u64(p + "last_improved", last.improved);
-    u64(p + "last_offspring_uniform", last.offspring_uniform);
-    u64(p + "last_offspring_bias", last.offspring_bias);
-    u64(p + "last_offspring_target", last.offspring_target);
-    u64(p + "last_survived_uniform", last.survived_uniform);
-    u64(p + "last_survived_bias", last.survived_bias);
-    u64(p + "last_survived_target", last.survived_target);
-    u64(p + "last_improved_uniform", last.improved_uniform);
-    u64(p + "last_improved_bias", last.improved_bias);
-    u64(p + "last_improved_target", last.improved_target);
-    if (!last.have_winner) return;
-    u64(p + "winner_genes", last.winner_genes);
-    u64(p + "winner_fresh", last.winner_fresh);
-    u64(p + "winner_uniform", last.winner_uniform);
-    u64(p + "winner_bias", last.winner_bias);
-    u64(p + "winner_target", last.winner_target);
-    u64(p + "winner_repair", last.winner_repair);
-    u64(p + "winner_depth", last.winner_depth);
+    for (const LineageSummaryField& f : k_lineage_summary_fields)
+        if (f.gauge && f.present(counters.last))
+            u64(p + (f.winner ? "" : "last_") + f.name, counters.last.*f.member);
 }
 
 std::string chrome_trace_json(const std::vector<TraceEvent>& events)

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/json.hpp"
+
 namespace nautilus::obs {
 
 namespace {
@@ -12,56 +14,6 @@ constexpr const char* k_origin_names[k_gene_origin_count] = {
     "fresh", "parent_a", "parent_b", "uniform", "bias", "target", "repair"};
 constexpr const char* k_op_names[k_birth_op_count] = {
     "init", "resume", "elite", "mutation", "crossover"};
-
-void append_json_uint(std::string& out, const char* key, std::uint64_t value)
-{
-    out += '"';
-    out += key;
-    out += "\":";
-    out += std::to_string(value);
-    out += ',';
-}
-
-// Flat summary fields shared by to_json(LineageCounters) below.  Emits a
-// trailing comma; callers finish the object themselves.
-void append_summary_json(std::string& out, const LineageSummary& s)
-{
-    append_json_uint(out, "births", s.births);
-    append_json_uint(out, "births_at_start", s.births_at_start);
-    append_json_uint(out, "roots", s.roots);
-    append_json_uint(out, "elites", s.elites);
-    append_json_uint(out, "mutation_births", s.mutation_births);
-    append_json_uint(out, "crossover_births", s.crossover_births);
-    append_json_uint(out, "survived", s.survived);
-    append_json_uint(out, "improved", s.improved);
-    append_json_uint(out, "genes_fresh", s.genes_fresh);
-    append_json_uint(out, "genes_inherited", s.genes_inherited);
-    append_json_uint(out, "genes_crossed", s.genes_crossed);
-    append_json_uint(out, "genes_uniform", s.genes_uniform);
-    append_json_uint(out, "genes_bias", s.genes_bias);
-    append_json_uint(out, "genes_target", s.genes_target);
-    append_json_uint(out, "genes_repair", s.genes_repair);
-    append_json_uint(out, "offspring_uniform", s.offspring_uniform);
-    append_json_uint(out, "offspring_bias", s.offspring_bias);
-    append_json_uint(out, "offspring_target", s.offspring_target);
-    append_json_uint(out, "survived_uniform", s.survived_uniform);
-    append_json_uint(out, "survived_bias", s.survived_bias);
-    append_json_uint(out, "survived_target", s.survived_target);
-    append_json_uint(out, "improved_uniform", s.improved_uniform);
-    append_json_uint(out, "improved_bias", s.improved_bias);
-    append_json_uint(out, "improved_target", s.improved_target);
-    if (s.have_winner) {
-        append_json_uint(out, "winner", s.winner);
-        append_json_uint(out, "winner_count", s.winner_count);
-        append_json_uint(out, "winner_genes", s.winner_genes);
-        append_json_uint(out, "winner_fresh", s.winner_fresh);
-        append_json_uint(out, "winner_uniform", s.winner_uniform);
-        append_json_uint(out, "winner_bias", s.winner_bias);
-        append_json_uint(out, "winner_target", s.winner_target);
-        append_json_uint(out, "winner_repair", s.winner_repair);
-        append_json_uint(out, "winner_depth", s.winner_depth);
-    }
-}
 
 }  // namespace
 
@@ -336,41 +288,8 @@ LineageSummary LineageRecorder::finish(std::span<const std::uint64_t> winners)
     if (tracer_ != nullptr) {
         TraceEvent event{"lineage_summary"};
         event.add("engine", engine_.c_str());
-        event.add("births", FieldValue{summary.births});
-        event.add("births_at_start", FieldValue{summary.births_at_start});
-        event.add("roots", FieldValue{summary.roots});
-        event.add("elites", FieldValue{summary.elites});
-        event.add("mutation_births", FieldValue{summary.mutation_births});
-        event.add("crossover_births", FieldValue{summary.crossover_births});
-        event.add("survived", FieldValue{summary.survived});
-        event.add("improved", FieldValue{summary.improved});
-        event.add("genes_fresh", FieldValue{summary.genes_fresh});
-        event.add("genes_inherited", FieldValue{summary.genes_inherited});
-        event.add("genes_crossed", FieldValue{summary.genes_crossed});
-        event.add("genes_uniform", FieldValue{summary.genes_uniform});
-        event.add("genes_bias", FieldValue{summary.genes_bias});
-        event.add("genes_target", FieldValue{summary.genes_target});
-        event.add("genes_repair", FieldValue{summary.genes_repair});
-        event.add("offspring_uniform", FieldValue{summary.offspring_uniform});
-        event.add("offspring_bias", FieldValue{summary.offspring_bias});
-        event.add("offspring_target", FieldValue{summary.offspring_target});
-        event.add("survived_uniform", FieldValue{summary.survived_uniform});
-        event.add("survived_bias", FieldValue{summary.survived_bias});
-        event.add("survived_target", FieldValue{summary.survived_target});
-        event.add("improved_uniform", FieldValue{summary.improved_uniform});
-        event.add("improved_bias", FieldValue{summary.improved_bias});
-        event.add("improved_target", FieldValue{summary.improved_target});
-        if (summary.have_winner) {
-            event.add("winner", FieldValue{summary.winner});
-            event.add("winner_count", FieldValue{summary.winner_count});
-            event.add("winner_genes", FieldValue{summary.winner_genes});
-            event.add("winner_fresh", FieldValue{summary.winner_fresh});
-            event.add("winner_uniform", FieldValue{summary.winner_uniform});
-            event.add("winner_bias", FieldValue{summary.winner_bias});
-            event.add("winner_target", FieldValue{summary.winner_target});
-            event.add("winner_repair", FieldValue{summary.winner_repair});
-            event.add("winner_depth", FieldValue{summary.winner_depth});
-        }
+        for (const LineageSummaryField& f : k_lineage_summary_fields)
+            if (f.present(summary)) event.add(f.name, FieldValue{summary.*f.member});
         tracer_->emit(std::move(event));
     }
     if (tracker_ != nullptr) tracker_->on_run_finish(engine_, summary);
@@ -381,28 +300,23 @@ std::string to_json(const LineageCounters& counters)
 {
     std::string out;
     out.reserve(1024);
+    const auto field = [&out](const char* key, std::uint64_t value) {
+        out += '"';
+        out += key;
+        out += "\":";
+        out += std::to_string(value);
+        out += ',';
+    };
     out += '{';
-    append_json_uint(out, "runs", counters.runs);
-    append_json_uint(out, "births", counters.births);
-    append_json_uint(out, "roots", counters.roots);
-    append_json_uint(out, "elites", counters.elites);
-    append_json_uint(out, "mutation_births", counters.mutation_births);
-    append_json_uint(out, "crossover_births", counters.crossover_births);
-    append_json_uint(out, "survived", counters.survived);
-    append_json_uint(out, "improved", counters.improved);
-    append_json_uint(out, "genes_fresh", counters.genes_fresh);
-    append_json_uint(out, "genes_inherited", counters.genes_inherited);
-    append_json_uint(out, "genes_crossed", counters.genes_crossed);
-    append_json_uint(out, "genes_uniform", counters.genes_uniform);
-    append_json_uint(out, "genes_bias", counters.genes_bias);
-    append_json_uint(out, "genes_target", counters.genes_target);
-    append_json_uint(out, "genes_repair", counters.genes_repair);
+    for (const LineageCounterField& f : k_lineage_counter_fields)
+        field(f.name, counters.*f.member);
     out += "\"last_run\":";
     if (counters.have_last) {
-        out += "{\"engine\":\"";
-        out += counters.engine;  // engine names are fixed lowercase tokens
-        out += "\",";
-        append_summary_json(out, counters.last);
+        out += "{\"engine\":";
+        json::append_string(out, counters.engine);
+        out += ',';
+        for (const LineageSummaryField& f : k_lineage_summary_fields)
+            if (f.present(counters.last)) field(f.name, counters.last.*f.member);
         out.back() = '}';  // replace the trailing comma
     }
     else {

@@ -126,6 +126,56 @@ struct LineageSummary {
     std::uint64_t winner_depth = 0;  // longest ancestry walk, in hops
 };
 
+// The one field list of LineageSummary, in serialization order.  It drives
+// the `lineage_summary` trace event, /lineage's `last_run`, the trace
+// reader's rebuild of a summary and the /metrics gauges.  Winner fields
+// exist only when have_winner is set; `gauge` fields are also exported to
+// /metrics (as `last_<name>`, winner fields under their own name).
+struct LineageSummaryField {
+    const char* name;
+    std::uint64_t LineageSummary::*member;
+    bool winner;
+    bool gauge;
+
+    bool present(const LineageSummary& s) const { return !winner || s.have_winner; }
+};
+
+inline constexpr LineageSummaryField k_lineage_summary_fields[] = {
+    {"births", &LineageSummary::births, false, true},
+    {"births_at_start", &LineageSummary::births_at_start, false, false},
+    {"roots", &LineageSummary::roots, false, false},
+    {"elites", &LineageSummary::elites, false, false},
+    {"mutation_births", &LineageSummary::mutation_births, false, false},
+    {"crossover_births", &LineageSummary::crossover_births, false, false},
+    {"survived", &LineageSummary::survived, false, true},
+    {"improved", &LineageSummary::improved, false, true},
+    {"genes_fresh", &LineageSummary::genes_fresh, false, false},
+    {"genes_inherited", &LineageSummary::genes_inherited, false, false},
+    {"genes_crossed", &LineageSummary::genes_crossed, false, false},
+    {"genes_uniform", &LineageSummary::genes_uniform, false, false},
+    {"genes_bias", &LineageSummary::genes_bias, false, false},
+    {"genes_target", &LineageSummary::genes_target, false, false},
+    {"genes_repair", &LineageSummary::genes_repair, false, false},
+    {"offspring_uniform", &LineageSummary::offspring_uniform, false, true},
+    {"offspring_bias", &LineageSummary::offspring_bias, false, true},
+    {"offspring_target", &LineageSummary::offspring_target, false, true},
+    {"survived_uniform", &LineageSummary::survived_uniform, false, true},
+    {"survived_bias", &LineageSummary::survived_bias, false, true},
+    {"survived_target", &LineageSummary::survived_target, false, true},
+    {"improved_uniform", &LineageSummary::improved_uniform, false, true},
+    {"improved_bias", &LineageSummary::improved_bias, false, true},
+    {"improved_target", &LineageSummary::improved_target, false, true},
+    {"winner", &LineageSummary::winner, true, false},
+    {"winner_count", &LineageSummary::winner_count, true, false},
+    {"winner_genes", &LineageSummary::winner_genes, true, true},
+    {"winner_fresh", &LineageSummary::winner_fresh, true, true},
+    {"winner_uniform", &LineageSummary::winner_uniform, true, true},
+    {"winner_bias", &LineageSummary::winner_bias, true, true},
+    {"winner_target", &LineageSummary::winner_target, true, true},
+    {"winner_repair", &LineageSummary::winner_repair, true, true},
+    {"winner_depth", &LineageSummary::winner_depth, true, true},
+};
+
 // Pure summary computation over a dense record table (records[i].id == i),
 // shared by the recorder and by tools that rebuild records from a trace.
 LineageSummary summarize_lineage(std::span<const BirthRecord> records,
@@ -200,6 +250,31 @@ struct LineageCounters {
     bool have_last = false;        // a run has finished
     std::string engine;            // engine of the last finished run
     LineageSummary last;           // last finished run's summary
+};
+
+// The cumulative counters of LineageCounters, in serialization order
+// (/lineage JSON and the /metrics gauges).
+struct LineageCounterField {
+    const char* name;
+    std::uint64_t LineageCounters::*member;
+};
+
+inline constexpr LineageCounterField k_lineage_counter_fields[] = {
+    {"runs", &LineageCounters::runs},
+    {"births", &LineageCounters::births},
+    {"roots", &LineageCounters::roots},
+    {"elites", &LineageCounters::elites},
+    {"mutation_births", &LineageCounters::mutation_births},
+    {"crossover_births", &LineageCounters::crossover_births},
+    {"survived", &LineageCounters::survived},
+    {"improved", &LineageCounters::improved},
+    {"genes_fresh", &LineageCounters::genes_fresh},
+    {"genes_inherited", &LineageCounters::genes_inherited},
+    {"genes_crossed", &LineageCounters::genes_crossed},
+    {"genes_uniform", &LineageCounters::genes_uniform},
+    {"genes_bias", &LineageCounters::genes_bias},
+    {"genes_target", &LineageCounters::genes_target},
+    {"genes_repair", &LineageCounters::genes_repair},
 };
 
 std::string to_json(const LineageCounters& counters);

@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "obs/format.hpp"
+#include "obs/json.hpp"
 
 namespace nautilus::obs {
 
@@ -17,36 +18,6 @@ void atomic_add(std::atomic<double>& target, double delta)
     double old = target.load(std::memory_order_relaxed);
     while (!target.compare_exchange_weak(old, old + delta, std::memory_order_relaxed)) {
     }
-}
-
-void append_json_string(std::string& out, std::string_view s)
-{
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            }
-            else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-// Shared %.17g round-trip rendering (obs/format.hpp): /status doubles equal
-// the corresponding trace fields bit-for-bit.
-void append_json_number(std::string& out, double v)
-{
-    append_json_double(out, v);
 }
 
 }  // namespace
@@ -72,7 +43,7 @@ std::optional<double> ProgressSnapshot::eta_seconds() const
 std::string to_json(const ProgressSnapshot& snap)
 {
     std::string out = "{\"engine\":";
-    append_json_string(out, snap.engine);
+    json::append_string(out, snap.engine);
     out += ",\"running\":";
     out += snap.running ? "true" : "false";
     const auto field_u64 = [&out](const char* key, std::uint64_t v) {
@@ -89,23 +60,23 @@ std::string to_json(const ProgressSnapshot& snap)
     field_u64("generations_total", snap.units_total);
     field_u64("generations_at_start", snap.units_at_start);
     out += ",\"best\":";
-    if (snap.have_best) append_json_number(out, snap.best);
+    if (snap.have_best) append_json_double(out, snap.best);
     else out += "null";
     field_u64("distinct_evals", snap.distinct_evals);
     field_u64("eval_calls", snap.eval_calls);
     field_u64("cache_hits", snap.cache_hits);
     out += ",\"cache_hit_rate\":";
-    append_json_number(out, snap.cache_hit_rate());
+    append_json_double(out, snap.cache_hit_rate());
     out += ",\"eval_seconds\":";
-    append_json_number(out, snap.eval_seconds);
+    append_json_double(out, snap.eval_seconds);
     out += ",\"elapsed_seconds\":";
-    append_json_number(out, snap.elapsed_seconds);
+    append_json_double(out, snap.elapsed_seconds);
     out += ",\"run_elapsed_seconds\":";
-    append_json_number(out, snap.run_elapsed_seconds);
+    append_json_double(out, snap.run_elapsed_seconds);
     out += ",\"evals_per_second\":";
-    append_json_number(out, snap.evals_per_second());
+    append_json_double(out, snap.evals_per_second());
     out += ",\"eta_seconds\":";
-    if (const std::optional<double> eta = snap.eta_seconds()) append_json_number(out, *eta);
+    if (const std::optional<double> eta = snap.eta_seconds()) append_json_double(out, *eta);
     else out += "null";
     out += '}';
     return out;

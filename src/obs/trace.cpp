@@ -1,50 +1,17 @@
 #include "obs/trace.hpp"
 
-#include <cctype>
+#include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
 #include "obs/format.hpp"
+#include "obs/json.hpp"
 
 namespace nautilus::obs {
 
 namespace {
-
-void append_escaped(std::string& out, std::string_view s)
-{
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            }
-            else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-// Shortest round-trip decimal; non-finite values become JSON null.  A plain
-// integer rendering gets ".0" appended so the parser can tell doubles from
-// integer fields.  The rendering is shared (obs/format.hpp) so the trace,
-// /status JSON and Prometheus exposition agree bit-for-bit.
-void append_double(std::string& out, double v)
-{
-    append_json_double(out, v);
-}
 
 void append_value(std::string& out, const FieldValue& value)
 {
@@ -52,14 +19,14 @@ void append_value(std::string& out, const FieldValue& value)
     case 0: out += std::get<bool>(value) ? "true" : "false"; break;
     case 1: out += std::to_string(std::get<std::int64_t>(value)); break;
     case 2: out += std::to_string(std::get<std::uint64_t>(value)); break;
-    case 3: append_double(out, std::get<double>(value)); break;
-    case 4: append_escaped(out, std::get<std::string>(value)); break;
+    case 3: append_json_double(out, std::get<double>(value)); break;
+    case 4: json::append_string(out, std::get<std::string>(value)); break;
     case 5: {
         const auto& vec = std::get<std::vector<double>>(value);
         out += '[';
         for (std::size_t i = 0; i < vec.size(); ++i) {
             if (i > 0) out += ',';
-            append_double(out, vec[i]);
+            append_json_double(out, vec[i]);
         }
         out += ']';
         break;
@@ -67,151 +34,53 @@ void append_value(std::string& out, const FieldValue& value)
     }
 }
 
-// --- Minimal parser for the emitted subset --------------------------------
-
-struct Parser {
-    std::string_view in;
-    std::size_t pos = 0;
-
-    bool eof() const { return pos >= in.size(); }
-    char peek() const { return in[pos]; }
-    bool consume(char c)
-    {
-        if (eof() || in[pos] != c) return false;
-        ++pos;
-        return true;
+// A number token keeps its written kind: a '.' or exponent means double, a
+// leading '-' means int64, anything else uint64.  The whole token must
+// convert ("12-3" and "1e5e5" do not).  Doubles may underflow into the
+// subnormal range, which the writer emits, but not overflow.
+bool number_value(const std::string& token, FieldValue& out)
+{
+    const char* begin = token.c_str();
+    char* end = nullptr;
+    errno = 0;
+    if (token.find_first_of(".eE") != std::string::npos) {
+        const double d = std::strtod(begin, &end);
+        out = d;
+        return end == begin + token.size() && (errno == 0 || std::isfinite(d));
     }
-    void skip_ws()
-    {
-        while (!eof() && (in[pos] == ' ' || in[pos] == '\t')) ++pos;
-    }
+    if (token.front() == '-') out = static_cast<std::int64_t>(std::strtoll(begin, &end, 10));
+    else out = static_cast<std::uint64_t>(std::strtoull(begin, &end, 10));
+    return end == begin + token.size() && errno == 0;
+}
 
-    bool parse_string(std::string& out)
-    {
-        if (!consume('"')) return false;
-        out.clear();
-        while (!eof()) {
-            const char c = in[pos++];
-            if (c == '"') return true;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (eof()) return false;
-            const char esc = in[pos++];
-            switch (esc) {
-            case '"': out += '"'; break;
-            case '\\': out += '\\'; break;
-            case '/': out += '/'; break;
-            case 'n': out += '\n'; break;
-            case 't': out += '\t'; break;
-            case 'r': out += '\r'; break;
-            case 'u': {
-                if (pos + 4 > in.size()) return false;
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = in[pos++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-                    else return false;
-                }
-                if (code > 0xff) return false;  // writer only escapes control bytes
-                out += static_cast<char>(code);
-                break;
-            }
-            default: return false;
-            }
-        }
-        return false;
-    }
+// The numeric kinds widened to double; nullopt for the others.
+std::optional<double> as_double(const FieldValue& v)
+{
+    if (const auto* d = std::get_if<double>(&v)) return *d;
+    if (const auto* i = std::get_if<std::int64_t>(&v)) return static_cast<double>(*i);
+    if (const auto* u = std::get_if<std::uint64_t>(&v)) return static_cast<double>(*u);
+    return std::nullopt;
+}
 
-    // Numbers keep their emitted kind: a '.', exponent or out-of-range
-    // mantissa means double; a leading '-' means int64; otherwise uint64.
-    bool parse_number(FieldValue& out)
-    {
-        const std::size_t start = pos;
-        if (!eof() && in[pos] == '-') ++pos;
-        bool is_double = false;
-        while (!eof() &&
-               (std::isdigit(static_cast<unsigned char>(in[pos])) || in[pos] == '.' ||
-                in[pos] == 'e' || in[pos] == 'E' || in[pos] == '+' || in[pos] == '-')) {
-            if (in[pos] == '.' || in[pos] == 'e' || in[pos] == 'E') is_double = true;
-            ++pos;
-        }
-        if (pos == start) return false;
-        const std::string text{in.substr(start, pos - start)};
-        errno = 0;
-        if (is_double) {
-            out = std::strtod(text.c_str(), nullptr);
-            return errno == 0;
-        }
-        if (text[0] == '-') {
-            out = static_cast<std::int64_t>(std::strtoll(text.c_str(), nullptr, 10));
-            return errno == 0;
-        }
-        out = static_cast<std::uint64_t>(std::strtoull(text.c_str(), nullptr, 10));
-        return errno == 0;
+bool field_value(json::Value& value, FieldValue& out)
+{
+    switch (value.kind) {
+    case json::Value::Kind::string: out = std::move(value.text); return true;
+    case json::Value::Kind::boolean: out = value.truth; return true;
+    case json::Value::Kind::null: out = std::numeric_limits<double>::quiet_NaN(); return true;
+    case json::Value::Kind::number: return number_value(value.text, out);
+    case json::Value::Kind::array: break;
     }
-
-    bool parse_value(FieldValue& out)
-    {
-        skip_ws();
-        if (eof()) return false;
-        if (peek() == '"') {
-            std::string s;
-            if (!parse_string(s)) return false;
-            out = std::move(s);
-            return true;
-        }
-        if (in.compare(pos, 4, "true") == 0) {
-            pos += 4;
-            out = true;
-            return true;
-        }
-        if (in.compare(pos, 5, "false") == 0) {
-            pos += 5;
-            out = false;
-            return true;
-        }
-        if (in.compare(pos, 4, "null") == 0) {
-            pos += 4;
-            out = std::numeric_limits<double>::quiet_NaN();
-            return true;
-        }
-        if (peek() == '[') {
-            ++pos;
-            std::vector<double> arr;
-            skip_ws();
-            if (consume(']')) {
-                out = std::move(arr);
-                return true;
-            }
-            for (;;) {
-                FieldValue elem;
-                skip_ws();
-                if (in.compare(pos, 4, "null") == 0) {
-                    pos += 4;
-                    arr.push_back(std::numeric_limits<double>::quiet_NaN());
-                }
-                else {
-                    if (!parse_number(elem)) return false;
-                    if (const auto* d = std::get_if<double>(&elem)) arr.push_back(*d);
-                    else if (const auto* i = std::get_if<std::int64_t>(&elem))
-                        arr.push_back(static_cast<double>(*i));
-                    else arr.push_back(static_cast<double>(std::get<std::uint64_t>(elem)));
-                }
-                skip_ws();
-                if (consume(']')) break;
-                if (!consume(',')) return false;
-            }
-            out = std::move(arr);
-            return true;
-        }
-        return parse_number(out);
+    std::vector<double> vec;
+    vec.reserve(value.items.size());
+    for (const std::string& item : value.items) {
+        FieldValue elem = std::numeric_limits<double>::quiet_NaN();
+        if (item != "null" && !number_value(item, elem)) return false;
+        vec.push_back(*as_double(elem));
     }
-};
+    out = std::move(vec);
+    return true;
+}
 
 }  // namespace
 
@@ -225,11 +94,7 @@ const FieldValue* TraceEvent::find(std::string_view key) const
 std::optional<double> TraceEvent::number(std::string_view key) const
 {
     const FieldValue* v = find(key);
-    if (v == nullptr) return std::nullopt;
-    if (const auto* d = std::get_if<double>(v)) return *d;
-    if (const auto* i = std::get_if<std::int64_t>(v)) return static_cast<double>(*i);
-    if (const auto* u = std::get_if<std::uint64_t>(v)) return static_cast<double>(*u);
-    return std::nullopt;
+    return v != nullptr ? as_double(*v) : std::nullopt;
 }
 
 std::optional<std::uint64_t> TraceEvent::unsigned_int(std::string_view key) const
@@ -255,12 +120,12 @@ std::string to_jsonl(const TraceEvent& event)
     std::string out;
     out.reserve(64 + event.fields.size() * 16);
     out += "{\"type\":";
-    append_escaped(out, event.type);
+    json::append_string(out, event.type);
     out += ",\"t\":";
-    append_double(out, event.t);
+    append_json_double(out, event.t);
     for (const auto& [key, value] : event.fields) {
         out += ',';
-        append_escaped(out, key);
+        json::append_string(out, key);
         out += ':';
         append_value(out, value);
     }
@@ -270,29 +135,18 @@ std::string to_jsonl(const TraceEvent& event)
 
 std::optional<TraceEvent> parse_jsonl_line(std::string_view line)
 {
-    Parser p{line};
-    p.skip_ws();
-    if (!p.consume('{')) return std::nullopt;
-
+    json::Object object;
+    if (!json::read_object(line, object)) return std::nullopt;
     TraceEvent event{""};
+    event.fields.reserve(object.size());
     bool have_type = false;
-    bool first = true;
-    for (;;) {
-        p.skip_ws();
-        if (p.consume('}')) break;
-        if (!first && !p.consume(',')) return std::nullopt;
-        p.skip_ws();
-        first = false;
-        std::string key;
-        if (!p.parse_string(key)) return std::nullopt;
-        p.skip_ws();
-        if (!p.consume(':')) return std::nullopt;
+    for (auto& [key, raw] : object) {
         FieldValue value;
-        if (!p.parse_value(value)) return std::nullopt;
+        if (!field_value(raw, value)) return std::nullopt;
         if (key == "type") {
-            const auto* s = std::get_if<std::string>(&value);
+            auto* s = std::get_if<std::string>(&value);
             if (s == nullptr) return std::nullopt;
-            event.type = *s;
+            event.type = std::move(*s);
             have_type = true;
         }
         else if (key == "t") {
@@ -304,8 +158,7 @@ std::optional<TraceEvent> parse_jsonl_line(std::string_view line)
             event.fields.emplace_back(std::move(key), std::move(value));
         }
     }
-    p.skip_ws();
-    if (!p.eof() || !have_type) return std::nullopt;
+    if (!have_type) return std::nullopt;
     return event;
 }
 

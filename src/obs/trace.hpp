@@ -72,8 +72,10 @@ struct TraceEvent {
 // One JSON object on one line, no trailing newline.
 std::string to_jsonl(const TraceEvent& event);
 
-// Inverse of to_jsonl for the subset it emits (flat object, "type" and "t"
-// reserved keys).  Returns nullopt on malformed input.
+// Inverse of to_jsonl, read through the JSON codec (obs/json.hpp): "type"
+// and "t" are reserved keys, and each number token must convert in full to
+// the kind it was written as (subnormal doubles included).  Returns nullopt
+// on malformed input.
 std::optional<TraceEvent> parse_jsonl_line(std::string_view line);
 
 // Receives serialized events.  Implementations must be safe to call from

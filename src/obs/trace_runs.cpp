@@ -39,44 +39,10 @@ bool flag(const TraceEvent& ev, const char* key)
 
 LineageSummary lineage_summary_of(const TraceEvent& ev)
 {
-    const auto u = [&](const char* key) { return ev.unsigned_int(key).value_or(0); };
     LineageSummary s;
-    s.births = u("births");
-    s.births_at_start = u("births_at_start");
-    s.roots = u("roots");
-    s.elites = u("elites");
-    s.mutation_births = u("mutation_births");
-    s.crossover_births = u("crossover_births");
-    s.survived = u("survived");
-    s.improved = u("improved");
-    s.genes_fresh = u("genes_fresh");
-    s.genes_inherited = u("genes_inherited");
-    s.genes_crossed = u("genes_crossed");
-    s.genes_uniform = u("genes_uniform");
-    s.genes_bias = u("genes_bias");
-    s.genes_target = u("genes_target");
-    s.genes_repair = u("genes_repair");
-    s.offspring_uniform = u("offspring_uniform");
-    s.offspring_bias = u("offspring_bias");
-    s.offspring_target = u("offspring_target");
-    s.survived_uniform = u("survived_uniform");
-    s.survived_bias = u("survived_bias");
-    s.survived_target = u("survived_target");
-    s.improved_uniform = u("improved_uniform");
-    s.improved_bias = u("improved_bias");
-    s.improved_target = u("improved_target");
-    if (ev.find("winner") != nullptr) {
-        s.have_winner = true;
-        s.winner = u("winner");
-        s.winner_count = u("winner_count");
-        s.winner_genes = u("winner_genes");
-        s.winner_fresh = u("winner_fresh");
-        s.winner_uniform = u("winner_uniform");
-        s.winner_bias = u("winner_bias");
-        s.winner_target = u("winner_target");
-        s.winner_repair = u("winner_repair");
-        s.winner_depth = u("winner_depth");
-    }
+    s.have_winner = ev.find("winner") != nullptr;
+    for (const LineageSummaryField& f : k_lineage_summary_fields)
+        if (f.present(s)) s.*f.member = ev.unsigned_int(f.name).value_or(0);
     return s;
 }
 

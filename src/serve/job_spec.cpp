@@ -1,10 +1,12 @@
 #include "serve/job_spec.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <map>
 #include <stdexcept>
 
 #include "ip/metrics.hpp"
+#include "obs/json.hpp"
 
 namespace nautilus::serve {
 
@@ -15,133 +17,30 @@ namespace {
     throw std::invalid_argument(message);
 }
 
-// One parsed JSON value.  Numbers keep their source text so integer fields
-// can reject fractions, exponents and negatives with the offending token in
-// the message.
-struct RawValue {
-    enum class Kind { string, number, boolean };
-    Kind kind = Kind::string;
-    std::string text;
-    bool truth = false;
-};
-
-void skip_ws(std::string_view s, std::size_t& i)
-{
-    while (i < s.size() &&
-           (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r'))
-        ++i;
-}
-
-std::string parse_quoted(std::string_view s, std::size_t& i)
-{
-    if (i >= s.size() || s[i] != '"') fail("spec is not valid JSON: expected a string");
-    ++i;
-    std::string out;
-    while (i < s.size() && s[i] != '"') {
-        char c = s[i++];
-        if (c == '\\') {
-            if (i >= s.size()) fail("spec is not valid JSON: unterminated escape");
-            const char esc = s[i++];
-            switch (esc) {
-            case '"': c = '"'; break;
-            case '\\': c = '\\'; break;
-            case '/': c = '/'; break;
-            case 'n': c = '\n'; break;
-            case 't': c = '\t'; break;
-            default: fail(std::string("spec is not valid JSON: unsupported escape '\\") +
-                          esc + "'");
-            }
-        }
-        else if (static_cast<unsigned char>(c) < 0x20) {
-            fail("spec is not valid JSON: control character inside a string");
-        }
-        out += c;
-    }
-    if (i >= s.size()) fail("spec is not valid JSON: unterminated string");
-    ++i;  // closing quote
-    return out;
-}
-
-RawValue parse_value(std::string_view s, std::size_t& i)
-{
-    skip_ws(s, i);
-    if (i >= s.size()) fail("spec is not valid JSON: expected a value");
-    RawValue v;
-    if (s[i] == '"') {
-        v.kind = RawValue::Kind::string;
-        v.text = parse_quoted(s, i);
-        return v;
-    }
-    if (s.compare(i, 4, "true") == 0) {
-        v.kind = RawValue::Kind::boolean;
-        v.truth = true;
-        i += 4;
-        return v;
-    }
-    if (s.compare(i, 5, "false") == 0) {
-        v.kind = RawValue::Kind::boolean;
-        i += 5;
-        return v;
-    }
-    const std::size_t start = i;
-    while (i < s.size() && (s[i] == '-' || s[i] == '+' || s[i] == '.' ||
-                            s[i] == 'e' || s[i] == 'E' ||
-                            (s[i] >= '0' && s[i] <= '9')))
-        ++i;
-    if (i == start) fail("spec is not valid JSON: expected a string, number or boolean");
-    v.kind = RawValue::Kind::number;
-    v.text = std::string(s.substr(start, i - start));
-    return v;
-}
+using Fields = std::map<std::string, obs::json::Value>;
 
 // The spec is a single flat object of string/number/boolean fields --
-// nothing nested, nothing null.  Duplicate keys are rejected.
-std::map<std::string, RawValue> parse_object(std::string_view s)
+// no arrays, no null.  Duplicate keys are rejected.
+Fields parse_fields(std::string_view s)
 {
-    std::size_t i = 0;
-    skip_ws(s, i);
-    if (i >= s.size() || s[i] != '{')
-        fail("spec is not valid JSON: expected a '{...}' object");
-    ++i;
-    std::map<std::string, RawValue> fields;
-    skip_ws(s, i);
-    if (i < s.size() && s[i] == '}') {
-        ++i;
+    obs::json::Object object;
+    std::string error;
+    if (!obs::json::read_object(s, object, &error)) fail("spec is not valid JSON: " + error);
+    Fields fields;
+    for (auto& [key, value] : object) {
+        if (value.kind == obs::json::Value::Kind::null ||
+            value.kind == obs::json::Value::Kind::array)
+            fail("spec is not valid JSON: expected a string, number or boolean");
+        if (!fields.emplace(key, std::move(value)).second) fail("duplicate field '" + key + "'");
     }
-    else {
-        for (;;) {
-            skip_ws(s, i);
-            const std::string key = parse_quoted(s, i);
-            skip_ws(s, i);
-            if (i >= s.size() || s[i] != ':')
-                fail("spec is not valid JSON: expected ':' after \"" + key + "\"");
-            ++i;
-            const RawValue value = parse_value(s, i);
-            if (!fields.emplace(key, value).second)
-                fail("duplicate field '" + key + "'");
-            skip_ws(s, i);
-            if (i < s.size() && s[i] == ',') {
-                ++i;
-                continue;
-            }
-            if (i < s.size() && s[i] == '}') {
-                ++i;
-                break;
-            }
-            fail("spec is not valid JSON: expected ',' or '}' after \"" + key + "\"");
-        }
-    }
-    skip_ws(s, i);
-    if (i != s.size()) fail("spec is not valid JSON: trailing content after the object");
     return fields;
 }
 
-std::string take_string(std::map<std::string, RawValue>& fields, const std::string& name,
-                        std::string fallback)
+std::string take_string(Fields& fields, const std::string& name, std::string fallback)
 {
     const auto it = fields.find(name);
     if (it == fields.end()) return fallback;
-    if (it->second.kind != RawValue::Kind::string)
+    if (it->second.kind != obs::json::Value::Kind::string)
         fail("field '" + name + "' must be a string");
     std::string out = std::move(it->second.text);
     fields.erase(it);
@@ -151,27 +50,20 @@ std::string take_string(std::map<std::string, RawValue>& fields, const std::stri
 // Integer fields: the token must be a plain non-negative decimal -- no
 // fractions, exponents or signs -- so "workers": -2 and "seed": 1e99 are
 // both rejected with the offending text.
-std::uint64_t take_uint(std::map<std::string, RawValue>& fields, const std::string& name,
-                        std::uint64_t fallback, bool* present = nullptr)
+std::uint64_t take_uint(Fields& fields, const std::string& name, std::uint64_t fallback,
+                        bool* present = nullptr)
 {
     const auto it = fields.find(name);
     if (present != nullptr) *present = it != fields.end();
     if (it == fields.end()) return fallback;
-    const RawValue& v = it->second;
-    if (v.kind != RawValue::Kind::number)
+    const obs::json::Value& v = it->second;
+    if (v.kind != obs::json::Value::Kind::number)
         fail("field '" + name + "' must be a non-negative integer");
-    if (v.text.find_first_of(".eE") != std::string::npos || v.text.front() == '-' ||
-        v.text.front() == '+')
-        fail("field '" + name + "' must be a non-negative integer (got " + v.text + ")");
     std::uint64_t out = 0;
-    try {
-        std::size_t used = 0;
-        out = std::stoull(v.text, &used);
-        if (used != v.text.size()) throw std::invalid_argument(v.text);
-    }
-    catch (const std::exception&) {
+    const char* end = v.text.data() + v.text.size();
+    if (const auto [ptr, ec] = std::from_chars(v.text.data(), end, out);
+        ec != std::errc{} || ptr != end)
         fail("field '" + name + "' must be a non-negative integer (got " + v.text + ")");
-    }
     fields.erase(it);
     return out;
 }
@@ -187,13 +79,6 @@ void validate_metric_name(const std::string& field, const std::string& name)
              "' (see ip::metric_name for the metric list)");
 }
 
-void append_uint(std::string& out, std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-    out += buf;
-}
-
 }  // namespace
 
 const char* default_metric(const std::string& ip)
@@ -205,7 +90,7 @@ const char* default_metric(const std::string& ip)
 
 JobSpec parse_job_spec(std::string_view json)
 {
-    std::map<std::string, RawValue> fields = parse_object(json);
+    Fields fields = parse_fields(json);
 
     JobSpec spec;
     spec.engine = take_string(fields, "engine", "");
@@ -297,29 +182,36 @@ JobSpec parse_job_spec(std::string_view json)
 
 std::string canonical_spec_json(const JobSpec& spec)
 {
-    std::string out = "{\"engine\":\"" + json_escape(spec.engine) + "\"";
-    out += ",\"ip\":\"" + json_escape(spec.ip) + "\"";
-    out += ",\"metric\":\"" + json_escape(spec.metric) + "\"";
-    if (!spec.metric2.empty()) out += ",\"metric2\":\"" + json_escape(spec.metric2) + "\"";
-    out += ",\"direction\":\"" + json_escape(spec.direction) + "\"";
-    out += ",\"guidance\":\"" + json_escape(spec.guidance) + "\"";
+    std::string out = "{";
+    const auto key = [&out](std::string_view name) {
+        if (out.size() > 1) out += ',';
+        obs::json::append_string(out, name);
+        out += ':';
+    };
+    const auto text = [&](std::string_view name, const std::string& value) {
+        key(name);
+        obs::json::append_string(out, value);
+    };
+    const auto number = [&](std::string_view name, std::uint64_t value) {
+        key(name);
+        out += std::to_string(value);
+    };
+    text("engine", spec.engine);
+    text("ip", spec.ip);
+    text("metric", spec.metric);
+    if (!spec.metric2.empty()) text("metric2", spec.metric2);
+    text("direction", spec.direction);
+    text("guidance", spec.guidance);
     if (spec.evolutionary()) {
-        out += ",\"generations\":";
-        append_uint(out, spec.generations);
-        if (spec.population != 0) {
-            out += ",\"population\":";
-            append_uint(out, spec.population);
-        }
+        number("generations", spec.generations);
+        if (spec.population != 0) number("population", spec.population);
     }
     else {
-        out += ",\"evals\":";
-        append_uint(out, spec.evals);
+        number("evals", spec.evals);
     }
-    out += ",\"seed\":";
-    append_uint(out, spec.seed);
-    out += ",\"workers\":";
-    append_uint(out, spec.workers);
-    out += "}";
+    number("seed", spec.seed);
+    number("workers", spec.workers);
+    out += '}';
     return out;
 }
 
@@ -344,27 +236,7 @@ std::string checkpoint_file(const std::string& jobs_dir, const JobSpec& spec)
 
 std::string json_escape(std::string_view text)
 {
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            }
-            else {
-                out += c;
-            }
-        }
-    }
-    return out;
+    return obs::json::escaped(text);
 }
 
 }  // namespace nautilus::serve

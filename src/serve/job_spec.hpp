@@ -62,8 +62,8 @@ std::uint64_t spec_fingerprint(const JobSpec& spec);
 // "<jobs_dir>/spec-<fingerprint hex>.ckpt"
 std::string checkpoint_file(const std::string& jobs_dir, const JobSpec& spec);
 
-// Minimal JSON string escaping (backslash, quote, control chars) shared by
-// the scheduler's status/error rendering.
+// The codec's string escaping (obs::json::escaped), without the quotes;
+// used by the scheduler's status and error rendering.
 std::string json_escape(std::string_view text);
 
 }  // namespace nautilus::serve
