@@ -226,7 +226,7 @@ void bm_full_ga_run_traced(benchmark::State& state)
 BENCHMARK(bm_full_ga_run_traced);
 
 // Same workload again with only the progress tracker attached -- the cost a
-// `--serve`/`--progress` user pays even when tracing and metrics are off.
+// server job or a `--progress` user pays even when tracing and metrics are off.
 void bm_full_ga_run_progress(benchmark::State& state)
 {
     const auto space = bench_space();

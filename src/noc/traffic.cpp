@@ -28,12 +28,12 @@ TopologyGraph TopologyGraph::build(const TopologyInfo& info)
 {
     TopologyGraph g;
     g.info_ = info;
-    g.out_.resize(static_cast<std::size_t>(info.num_routers));
-
-    auto add_channel = [&g](int src, int dst) {
-        const std::size_t index = g.channels_.size();
+    const auto routers = static_cast<std::size_t>(info.num_routers);
+    g.lanes_.resize(routers * routers);
+    auto add_channel = [&g, routers](int src, int dst) {
+        g.lanes_[static_cast<std::size_t>(src) * routers + static_cast<std::size_t>(dst)]
+            .push_back(static_cast<std::uint32_t>(g.channels_.size()));
         g.channels_.push_back({src, dst});
-        g.out_[static_cast<std::size_t>(src)].emplace_back(dst, index);
     };
 
     const int r = info.num_routers;
@@ -126,21 +126,27 @@ int TopologyGraph::endpoint_router(int endpoint) const
 
 std::size_t TopologyGraph::channel_index(int src, int dst, int lane) const
 {
-    int seen = 0;
-    for (const auto& [to, index] : out_[static_cast<std::size_t>(src)]) {
-        if (to == dst) {
-            if (seen == lane) return index;
-            ++seen;
-        }
-    }
+    const auto& lanes = lanes_[static_cast<std::size_t>(src) *
+                                   static_cast<std::size_t>(info_.num_routers) +
+                               static_cast<std::size_t>(dst)];
+    if (lane >= 0 && static_cast<std::size_t>(lane) < lanes.size())
+        return lanes[static_cast<std::size_t>(lane)];
     throw std::logic_error("TopologyGraph::channel_index: missing channel (routing bug)");
 }
 
 std::vector<std::size_t> TopologyGraph::route(int src_endpoint, int dst_endpoint) const
 {
+    std::vector<std::size_t> path;
+    route(src_endpoint, dst_endpoint, path);
+    return path;
+}
+
+void TopologyGraph::route(int src_endpoint, int dst_endpoint,
+                          std::vector<std::size_t>& path) const
+{
     const int src = endpoint_router(src_endpoint);
     const int dst = endpoint_router(dst_endpoint);
-    std::vector<std::size_t> path;
+    path.clear();
     const int r = info_.num_routers;
 
     switch (info_.kind) {
@@ -148,7 +154,7 @@ std::vector<std::size_t> TopologyGraph::route(int src_endpoint, int dst_endpoint
     case TopologyKind::conc_ring:
     case TopologyKind::double_ring:
     case TopologyKind::conc_double_ring: {
-        if (src == dst) return path;
+        if (src == dst) return;
         const bool two_lanes = info_.kind == TopologyKind::double_ring ||
                                info_.kind == TopologyKind::conc_double_ring;
         const int lane = two_lanes ? src_endpoint % 2 : 0;
@@ -160,7 +166,7 @@ std::vector<std::size_t> TopologyGraph::route(int src_endpoint, int dst_endpoint
             path.push_back(channel_index(at, next, lane));
             at = next;
         }
-        return path;
+        return;
     }
     case TopologyKind::mesh:
     case TopologyKind::torus: {
@@ -186,10 +192,10 @@ std::vector<std::size_t> TopologyGraph::route(int src_endpoint, int dst_endpoint
             path.push_back(channel_index(id(x, y), id(x, ny)));
             y = ny;
         }
-        return path;
+        return;
     }
     case TopologyKind::fat_tree: {
-        if (src == dst) return path;
+        if (src == dst) return;
         const int levels = static_cast<int>(std::lround(std::log2(info_.endpoints) / 2.0));
         const int per_level = info_.endpoints / 4;
         auto id = [per_level](int level, int w) { return level * per_level + w; };
@@ -212,7 +218,7 @@ std::vector<std::size_t> TopologyGraph::route(int src_endpoint, int dst_endpoint
             path.push_back(channel_index(id(l + 1, w), id(l, next)));
             w = next;
         }
-        return path;
+        return;
     }
     case TopologyKind::butterfly: {
         const int stages = static_cast<int>(std::lround(std::log2(info_.endpoints) / 2.0));
@@ -226,10 +232,9 @@ std::vector<std::size_t> TopologyGraph::route(int src_endpoint, int dst_endpoint
             path.push_back(channel_index(id(stage, w), id(stage + 1, next)));
             w = next;
         }
-        return path;
+        return;
     }
     }
-    return path;
 }
 
 TrafficAnalysis analyze_uniform_traffic(const TopologyGraph& graph)
@@ -240,10 +245,11 @@ TrafficAnalysis analyze_uniform_traffic(const TopologyGraph& graph)
     double total_hops = 0.0;
     std::size_t pairs = 0;
 
+    std::vector<std::size_t> path;
     for (int s = 0; s < n; ++s) {
         for (int d = 0; d < n; ++d) {
             if (s == d) continue;
-            const auto path = graph.route(s, d);
+            graph.route(s, d, path);
             total_hops += static_cast<double>(path.size());
             ++pairs;
             for (std::size_t link : path) out.channel_load[link] += 1.0;

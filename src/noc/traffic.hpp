@@ -43,6 +43,9 @@ public:
     // indices into channels().  Empty when src and dst share a router (or
     // are equal).  Throws std::out_of_range on bad endpoints.
     std::vector<std::size_t> route(int src_endpoint, int dst_endpoint) const;
+    // The same route written into `path` (cleared first), so a caller
+    // routing many pairs reuses one buffer.
+    void route(int src_endpoint, int dst_endpoint, std::vector<std::size_t>& path) const;
 
 private:
     TopologyGraph() = default;
@@ -53,8 +56,9 @@ private:
 
     TopologyInfo info_;
     std::vector<Channel> channels_;
-    // channel lookup: per src router, list of (dst, index) pairs.
-    std::vector<std::vector<std::pair<int, std::size_t>>> out_;
+    // Dense channel lookup: per (src, dst) router pair, its parallel
+    // channels' indices in insertion order.
+    std::vector<std::vector<std::uint32_t>> lanes_;
 };
 
 // Uniform-random-traffic analysis of a topology graph.

@@ -5,7 +5,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <optional>
@@ -17,8 +19,6 @@
 namespace nautilus::obs {
 
 namespace {
-
-constexpr std::size_t kMaxRequestBytes = 65536;
 
 const char* reason_phrase(int status)
 {
@@ -62,56 +62,39 @@ std::string render_response(const HttpResponse& r, bool head_only = false,
 // malformed count; leaves `n` untouched when the parameter is absent.
 bool parse_tail_count(std::string_view query, std::size_t& n)
 {
-    std::size_t pos = 0;
-    while (pos <= query.size()) {
-        std::size_t amp = query.find('&', pos);
-        if (amp == std::string_view::npos) amp = query.size();
+    for (std::size_t pos = 0; pos <= query.size();) {
+        const std::size_t amp = std::min(query.find('&', pos), query.size());
         const std::string_view param = query.substr(pos, amp - pos);
-        if (param.substr(0, 2) == "n=") {
-            const std::string_view value = param.substr(2);
-            if (value.empty() || value.size() > 9) return false;
-            std::size_t parsed = 0;
-            for (const char c : value) {
-                if (c < '0' || c > '9') return false;
-                parsed = parsed * 10 + static_cast<std::size_t>(c - '0');
-            }
-            n = parsed;
-        }
         pos = amp + 1;
+        if (param.substr(0, 2) != "n=") continue;
+        const std::string_view value = param.substr(2);
+        const char* end = value.data() + value.size();
+        if (value.empty() || value.size() > 9 ||
+            std::from_chars(value.data(), end, n).ptr != end)
+            return false;
     }
     return true;
 }
 
-// Locate a header's value in the request head (case-insensitive name match
-// at line starts).  Returns nullopt when absent.
+// The value of the head's first `name:` line (name matched without regard
+// to case, value trimmed of blanks), or nullopt when there is none.
 std::optional<std::string_view> header_value(std::string_view head, std::string_view name)
 {
-    std::size_t pos = 0;
-    while (pos < head.size()) {
-        std::size_t eol = head.find("\r\n", pos);
-        if (eol == std::string_view::npos) eol = head.size();
-        const std::string_view line = head.substr(pos, eol - pos);
-        if (line.size() > name.size() + 1 && line[name.size()] == ':') {
-            bool match = true;
-            for (std::size_t i = 0; i < name.size(); ++i) {
-                const auto lower = [](char c) {
-                    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
-                };
-                if (lower(line[i]) != lower(name[i])) {
-                    match = false;
-                    break;
-                }
-            }
-            if (match) {
-                std::string_view value = line.substr(name.size() + 1);
-                while (!value.empty() && (value.front() == ' ' || value.front() == '\t'))
-                    value.remove_prefix(1);
-                while (!value.empty() && (value.back() == ' ' || value.back() == '\t'))
-                    value.remove_suffix(1);
-                return value;
-            }
-        }
+    const auto lower = [](char c) {
+        return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+    };
+    for (std::size_t pos = 0; pos < head.size();) {
+        const std::size_t eol = std::min(head.find("\r\n", pos), head.size());
+        std::string_view line = head.substr(pos, eol - pos);
         pos = eol + 2;
+        if (line.size() <= name.size() + 1 || line[name.size()] != ':' ||
+            !std::equal(name.begin(), name.end(), line.begin(),
+                        [&](char a, char b) { return lower(a) == lower(b); }))
+            continue;
+        line.remove_prefix(name.size() + 1);
+        const std::size_t first = line.find_first_not_of(" \t");
+        if (first == std::string_view::npos) return line.substr(line.size());
+        return line.substr(first, line.find_last_not_of(" \t") + 1 - first);
     }
     return std::nullopt;
 }
@@ -150,6 +133,63 @@ void send_all(int fd, std::string_view data)
 }
 
 }  // namespace
+
+HttpFrame frame_request(std::string_view bytes, bool at_end)
+{
+    HttpFrame frame;
+    const auto reject = [&frame](int status, std::string_view message) {
+        frame.kind = HttpFrame::Kind::reject;
+        frame.status = status;
+        frame.message = message;
+        return frame;
+    };
+
+    const std::size_t head_end = bytes.find("\r\n\r\n");
+    if (head_end == std::string_view::npos || head_end + 4 > kMaxRequestBytes) {
+        if (bytes.size() > kMaxRequestBytes) return reject(413, "request head too large\n");
+        if (at_end) frame.kind = HttpFrame::Kind::drop;
+        return frame;
+    }
+    const std::string_view head = bytes.substr(0, head_end);
+
+    // "METHOD SP request-target SP HTTP-version"
+    const std::string_view line = head.substr(0, head.find("\r\n"));
+    const std::size_t sp1 = line.find(' ');
+    const std::size_t sp2 =
+        sp1 == std::string_view::npos ? std::string_view::npos : line.find(' ', sp1 + 1);
+    if (sp2 == std::string_view::npos) return reject(400, "bad request\n");
+    frame.method = line.substr(0, sp1);
+    frame.target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+
+    std::string_view rest = bytes.substr(head_end + 4);
+    const auto length = header_value(head, "Content-Length");
+    if (!length) {
+        // A body arrived but no Content-Length announced it (RFC 9110
+        // section 8.6): refuse rather than guess where the spec ends.
+        if (!rest.empty())
+            return reject(411, "requests with a body must send Content-Length\n");
+        frame.kind = HttpFrame::Kind::request;
+        frame.body = rest;
+        return frame;
+    }
+    if (length->empty()) return reject(400, "bad Content-Length\n");
+    std::size_t declared = 0;
+    for (const char c : *length) {
+        if (c < '0' || c > '9') return reject(400, "bad Content-Length\n");
+        // Saturates just past the cap, so a long digit string cannot wrap.
+        if (declared <= kMaxRequestBytes)
+            declared = declared * 10 + static_cast<std::size_t>(c - '0');
+    }
+    if (declared > kMaxRequestBytes - (head_end + 4))
+        return reject(413, "request body too large\n");
+    if (rest.size() < declared) {
+        if (at_end) return reject(400, "request body shorter than Content-Length\n");
+        return frame;
+    }
+    frame.kind = HttpFrame::Kind::request;
+    frame.body = rest.substr(0, declared);
+    return frame;
+}
 
 ObsHttpServer::ObsHttpServer(HttpServerConfig config,
                              std::shared_ptr<MetricsRegistry> metrics,
@@ -247,54 +287,6 @@ double ObsHttpServer::uptime_seconds() const
         .count();
 }
 
-std::string ObsHttpServer::body_for(std::string_view path) const
-{
-    if (path == "/metrics") {
-        // Server self-state is refreshed into the registry at scrape time,
-        // so it appears in the exposition without a background updater.
-        if (metrics_ != nullptr) {
-            metrics_->gauge("http.requests_served")
-                .set(static_cast<double>(requests_served()));
-            metrics_->gauge("process.uptime_seconds").set(uptime_seconds());
-        }
-        std::string body =
-            metrics_ != nullptr ? to_prometheus(metrics_->snapshot()) : std::string{};
-        if (progress_ != nullptr) append_progress_exposition(body, progress_->snapshot());
-        if (lineage_ != nullptr) append_lineage_exposition(body, lineage_->counters());
-        return body;
-    }
-    if (path == "/status") {
-        std::string body =
-            progress_ != nullptr ? to_json(progress_->snapshot()) : std::string{"{}"};
-        // Splice uptime into the snapshot object, keeping it one flat map.
-        std::string uptime;
-        if (body.size() > 2) uptime += ',';
-        uptime += "\"uptime_seconds\":";
-        append_json_double(uptime, uptime_seconds());
-        body.insert(body.size() - 1, uptime);
-        return body + "\n";
-    }
-    if (path == "/lineage")
-        return lineage_ != nullptr ? to_json(lineage_->counters()) + "\n" : "{}\n";
-    if (path == "/logs")
-        return logger_ != nullptr ? logger_->tail_json(100) + "\n" : std::string{};
-    if (path == "/healthz") return "ok\n";
-    if (path == "/") {
-        std::string index =
-            "nautilus observability endpoint\n"
-            "  /metrics  Prometheus text exposition\n"
-            "  /status   JSON run progress\n"
-            "  /lineage  JSON lineage counters\n"
-            "  /healthz  liveness probe\n";
-        if (logger_ != nullptr)
-            index += "  /logs     JSON tail of the server log (?n=K)\n";
-        if (jobs_ != nullptr)
-            index += "  /jobs     search jobs (POST spec, GET list, GET/DELETE /jobs/<id>)\n";
-        return index;
-    }
-    return {};
-}
-
 HttpResponse ObsHttpServer::respond(std::string_view method, std::string_view target,
                                     std::string_view body, std::uint64_t request_id) const
 {
@@ -313,27 +305,63 @@ HttpResponse ObsHttpServer::respond(std::string_view method, std::string_view ta
 
     // Everything else is the read-only observability plane: GET/HEAD only,
     // and a 405 must name the methods that would have worked.
+    constexpr const char* plain = "text/plain; charset=utf-8";
+    constexpr const char* json_type = "application/json";
     if (method != "GET" && method != "HEAD")
-        return {405, "text/plain; charset=utf-8",
-                "method not allowed (this endpoint is read-only)\n", "GET, HEAD"};
+        return {405, plain, "method not allowed (this endpoint is read-only)\n", "GET, HEAD",
+                {}};
+    const auto ok = [](const char* type, std::string content) {
+        return HttpResponse{200, type, std::move(content), {}, {}};
+    };
 
+    if (path == "/metrics") {
+        // Server self-state is refreshed into the registry at scrape time,
+        // so it appears in the exposition without a background updater.
+        std::string exposition;
+        if (metrics_ != nullptr) {
+            metrics_->gauge("http.requests_served")
+                .set(static_cast<double>(requests_served()));
+            metrics_->gauge("process.uptime_seconds").set(uptime_seconds());
+            exposition = to_prometheus(metrics_->snapshot());
+        }
+        if (progress_ != nullptr) append_progress_exposition(exposition, progress_->snapshot());
+        if (lineage_ != nullptr) append_lineage_exposition(exposition, lineage_->counters());
+        return ok("text/plain; version=0.0.4; charset=utf-8", std::move(exposition));
+    }
+    if (path == "/status") {
+        std::string status =
+            progress_ != nullptr ? to_json(progress_->snapshot()) : std::string{"{}"};
+        // Splice uptime into the snapshot object, keeping it one flat map.
+        std::string uptime;
+        if (status.size() > 2) uptime += ',';
+        uptime += "\"uptime_seconds\":";
+        append_json_double(uptime, uptime_seconds());
+        status.insert(status.size() - 1, uptime);
+        return ok(json_type, status + "\n");
+    }
+    if (path == "/lineage")
+        return ok(json_type, lineage_ != nullptr ? to_json(lineage_->counters()) + "\n" : "{}\n");
     if (path == "/logs" && logger_ != nullptr) {
         std::size_t n = 100;
         if (!parse_tail_count(query, n))
-            return {400, "text/plain; charset=utf-8",
-                    "bad query: expected n=<decimal count>\n", {}};
-        return {200, "application/json", logger_->tail_json(n) + "\n", {}};
+            return {400, plain, "bad query: expected n=<decimal count>\n", {}, {}};
+        return ok(json_type, logger_->tail_json(n) + "\n");
     }
-
-    const std::string content = body_for(path);
-    if (content.empty() && path != "/metrics")
-        return {404, "text/plain; charset=utf-8", "not found\n", {}};
-    const char* content_type =
-        path == "/status" || path == "/lineage" || path == "/logs"
-            ? "application/json"
-        : path == "/metrics" ? "text/plain; version=0.0.4; charset=utf-8"
-                             : "text/plain; charset=utf-8";
-    return {200, content_type, content, {}};
+    if (path == "/healthz") return ok(plain, "ok\n");
+    if (path == "/") {
+        std::string index =
+            "nautilus observability endpoint\n"
+            "  /metrics  Prometheus text exposition\n"
+            "  /status   JSON run progress\n"
+            "  /lineage  JSON lineage counters\n"
+            "  /healthz  liveness probe\n";
+        if (logger_ != nullptr)
+            index += "  /logs     JSON tail of the server log (?n=K)\n";
+        if (jobs_ != nullptr)
+            index += "  /jobs     search jobs (POST spec, GET list, GET/DELETE /jobs/<id>)\n";
+        return ok(plain, std::move(index));
+    }
+    return {404, plain, "not found\n", {}, {}};
 }
 
 void ObsHttpServer::record_request(std::string_view method, std::string_view target,
@@ -386,86 +414,29 @@ void ObsHttpServer::handle_connection(int fd)
         record_request(method, target, r.status, wire.size(), seconds, request_id);
     };
     const auto error = [&](int status, std::string_view message) {
-        finish({status, "text/plain; charset=utf-8", std::string{message}, {}});
+        finish({status, "text/plain; charset=utf-8", std::string{message}, {}, {}});
     };
 
     timeval timeout{};
     timeout.tv_sec = 2;
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
 
-    // Read until the end of the request head, then -- when a Content-Length
-    // announces one -- until the full body has arrived.
     std::string request;
-    std::size_t head_end = std::string::npos;
-    std::size_t needed = kMaxRequestBytes;  // unknown until the head is parsed
+    HttpFrame frame = frame_request(request, false);
     char buf[1024];
-    while (request.size() < needed && request.size() <= kMaxRequestBytes) {
-        if (head_end == std::string::npos) {
-            head_end = request.find("\r\n\r\n");
-            if (head_end != std::string::npos) {
-                const auto cl =
-                    header_value(std::string_view{request.data(), head_end},
-                                 "Content-Length");
-                if (!cl) break;  // no declared body; whatever arrived is all
-                char* end = nullptr;
-                const unsigned long long declared = std::strtoull(cl->data(), &end, 10);
-                if (end != cl->data() + cl->size()) {
-                    error(400, "bad Content-Length\n");
-                    return;
-                }
-                needed = head_end + 4 + static_cast<std::size_t>(declared);
-                if (needed > kMaxRequestBytes) break;  // answered 413 below
-                if (request.size() >= needed) break;
-            }
-        }
+    while (frame.kind == HttpFrame::Kind::incomplete) {
         const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-        if (n <= 0) {
-            if (n < 0 && errno == EINTR) continue;
-            break;
-        }
-        request.append(buf, static_cast<std::size_t>(n));
+        if (n < 0 && errno == EINTR) continue;
+        if (n > 0) request.append(buf, static_cast<std::size_t>(n));
+        frame = frame_request(request, n <= 0);
     }
-    if (head_end == std::string::npos) {
-        if (request.size() > kMaxRequestBytes)
-            error(413, "request head too large\n");
-        return;  // malformed or timed out; nothing was answered
-    }
-    const std::size_t line_end = request.find("\r\n");
-
-    // "METHOD SP request-target SP HTTP-version"
-    const std::string_view line{request.data(), line_end};
-    const std::size_t sp1 = line.find(' ');
-    const std::size_t sp2 = sp1 == std::string_view::npos
-                                ? std::string_view::npos
-                                : line.find(' ', sp1 + 1);
-    if (sp1 == std::string_view::npos || sp2 == std::string_view::npos) {
-        error(400, "bad request\n");
+    method = frame.method;
+    target = frame.target;
+    if (frame.kind == HttpFrame::Kind::drop) return;  // nothing to answer
+    if (frame.kind == HttpFrame::Kind::reject) {
+        error(frame.status, frame.message);
         return;
     }
-    method = line.substr(0, sp1);
-    target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-
-    const std::string_view head_view{request.data(), head_end};
-    const bool have_length = header_value(head_view, "Content-Length").has_value();
-    std::string_view body{request};
-    body.remove_prefix(head_end + 4);
-    if (!have_length && !body.empty()) {
-        // A body arrived but no Content-Length announced it (RFC 9110
-        // section 8.6): refuse rather than guess where the spec ends.
-        error(411, "requests with a body must send Content-Length\n");
-        return;
-    }
-    if (request.size() > kMaxRequestBytes || needed > kMaxRequestBytes) {
-        error(413, "request body too large\n");
-        return;
-    }
-    if (have_length && request.size() < needed) {
-        error(400, "request body shorter than Content-Length\n");
-        return;
-    }
-    if (have_length) body = body.substr(0, needed - head_end - 4);
-
-    finish(respond(method, target, body, request_id), method == "HEAD");
+    finish(respond(method, target, frame.body, request_id), method == "HEAD");
 }
-
 }  // namespace nautilus::obs

@@ -89,6 +89,35 @@ public:
                                      std::uint64_t request_id) = 0;
 };
 
+// Requests (head plus declared body) larger than this get 413.
+inline constexpr std::size_t kMaxRequestBytes = 65536;
+
+// One request framed off the wire, or why it was not.  The views point into
+// the bytes handed to frame_request.
+struct HttpFrame {
+    enum class Kind {
+        incomplete,  // more bytes could complete the request
+        request,     // a whole request: method, target and body are set
+        reject,      // answer `status` (400, 411 or 413) with `message`
+        drop,        // the peer stopped before the head ended: no answer
+    };
+    Kind kind = Kind::incomplete;
+    int status = 0;
+    std::string_view message;
+    std::string_view method;  // set for requests, and rejects past the request line
+    std::string_view target;
+    std::string_view body;
+};
+
+// Frames the bytes received so far; `at_end` says no more will arrive (the
+// peer closed, timed out or failed).  The head ends at the first blank
+// line, and the request line is "METHOD SP target SP version".  A
+// Content-Length must be 1*DIGIT (else 400), and a head or declared request
+// past kMaxRequestBytes gets 413 before any arithmetic on the length.  A
+// body that arrives without a Content-Length gets 411, one shorter than
+// declared 400; bytes past the declared length are ignored.
+HttpFrame frame_request(std::string_view bytes, bool at_end);
+
 struct HttpServerConfig {
     std::string bind_address = "127.0.0.1";
     std::uint16_t port = 0;  // 0 = pick an ephemeral port (see port())
@@ -133,9 +162,6 @@ public:
     // Seconds since construction (reset by start()); the `/status`
     // uptime_seconds field and the nautilus_process_uptime_seconds gauge.
     double uptime_seconds() const;
-
-    // Exposed for tests: the response body for a given request path.
-    std::string body_for(std::string_view path) const;
 
     // Full routing for one request -- method discipline, /jobs delegation,
     // read-only endpoints -- without touching a socket.  Exposed so the job

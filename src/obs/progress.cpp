@@ -55,7 +55,7 @@ std::string to_json(const ProgressSnapshot& snap)
     field_u64("runs_started", snap.runs_started);
     field_u64("runs_completed", snap.runs_completed);
     // "generation" keeps the common-case reading; for budgeted engines the
-    // unit is distinct evaluations (documented in DESIGN.md section 7).
+    // unit is distinct evaluations (documented in DESIGN.md section 12).
     field_u64("generation", snap.units_done);
     field_u64("generations_total", snap.units_total);
     field_u64("generations_at_start", snap.units_at_start);

@@ -7,7 +7,7 @@
 //
 // The invariants (check_runs) are the fault-tolerance accounting of
 // DESIGN.md section 8, the lineage conservation of section 11 and the
-// job_summary reconciliation of section 13:
+// job_summary reconciliation of section 12:
 //   * every line parses, and run-scoped events sit inside a run window;
 //   * per run, summed wave `fresh` equals the distinct evaluations charged
 //     in this trace (run_end distinct_evals minus the checkpointed

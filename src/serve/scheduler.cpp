@@ -184,15 +184,7 @@ void JobScheduler::job_main(Job& job)
         if (job.spec.evolutionary())
             job.resumed =
                 std::ifstream{checkpoint_file(config_.jobs_dir, job.spec)}.good();
-        if (config_.metrics) {
-            std::size_t running = 0;
-            for (const auto& [id, j] : jobs_)
-                if (j->state == JobState::running) ++running;
-            config_.metrics->gauge("jobs.queued").set(static_cast<double>(queue_.size()));
-            config_.metrics->gauge("jobs.running").set(static_cast<double>(running));
-            config_.metrics->gauge("jobs.workers_busy")
-                .set(static_cast<double>(config_.worker_capacity - free_slots_));
-        }
+        publish_pool_gauges();
         log_job(obs::LogLevel::info, job, "admitted");
     }
     cv_.notify_all();
@@ -204,17 +196,22 @@ void JobScheduler::job_main(Job& job)
     if (job.spec.evolutionary())
         inputs.checkpoint_path = checkpoint_file(config_.jobs_dir, job.spec);
     inputs.cancel = job.cancel;
+    inputs.obs.metrics = config_.metrics;
     inputs.obs.progress = job.progress;
+    inputs.obs.lineage = lineage_;
     inputs.job_id = job.id;
     inputs.request_id = job.request_id;
     inputs.queue_wait_seconds = job.queue_wait_seconds;
 
-    try {
-        const JobOutcome outcome = run_job(job.spec, inputs);
-        const std::lock_guard lock{mutex_};
+    const auto stop_clock = [&job] {
         job.run_seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - job.admitted_at)
                 .count();
+    };
+    try {
+        const JobOutcome outcome = run_job(job.spec, inputs);
+        const std::lock_guard lock{mutex_};
+        stop_clock();
         job.outcome = outcome;
         if (outcome.halted) {
             // Stopped at a checkpointed boundary; the checkpoint stays on
@@ -232,9 +229,7 @@ void JobScheduler::job_main(Job& job)
     }
     catch (const std::exception& e) {
         const std::lock_guard lock{mutex_};
-        job.run_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - job.admitted_at)
-                .count();
+        stop_clock();
         finish(job, JobState::failed, e.what());
     }
     cv_.notify_all();
@@ -251,12 +246,7 @@ void JobScheduler::finish(Job& job, JobState state, std::string error)
                            : state == JobState::cancelled ? "jobs.cancelled"
                                                           : "jobs.failed";
         config_.metrics->counter(name).add();
-        std::size_t running = 0;
-        for (const auto& [id, j] : jobs_)
-            if (j->state == JobState::running) ++running;
-        config_.metrics->gauge("jobs.running").set(static_cast<double>(running));
-        config_.metrics->gauge("jobs.workers_busy")
-            .set(static_cast<double>(config_.worker_capacity - free_slots_));
+        publish_pool_gauges();
         // Per-job resource accounting (nautilus_job_*): how long the job
         // waited, how long it ran, and what its evaluations cost.
         config_.metrics
@@ -273,6 +263,19 @@ void JobScheduler::finish(Job& job, JobState state, std::string error)
     }
     log_job(state == JobState::failed ? obs::LogLevel::error : obs::LogLevel::info, job,
             "finished", job.error);
+}
+
+// Caller holds mutex_.
+void JobScheduler::publish_pool_gauges() const
+{
+    if (!config_.metrics) return;
+    std::size_t running = 0;
+    for (const auto& [id, j] : jobs_)
+        if (j->state == JobState::running) ++running;
+    config_.metrics->gauge("jobs.queued").set(static_cast<double>(queue_.size()));
+    config_.metrics->gauge("jobs.running").set(static_cast<double>(running));
+    config_.metrics->gauge("jobs.workers_busy")
+        .set(static_cast<double>(config_.worker_capacity - free_slots_));
 }
 
 // Safe with or without mutex_ held as long as `job`'s mutable fields are

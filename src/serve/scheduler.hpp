@@ -40,6 +40,7 @@
 
 #include "core/eval_store.hpp"
 #include "obs/http_server.hpp"
+#include "obs/lineage.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
@@ -95,6 +96,8 @@ public:
     bool wait(std::uint64_t id, double timeout_seconds) const;
 
     std::size_t capacity() const { return config_.worker_capacity; }
+    // The lineage counters every job feeds (the server's /lineage).
+    const std::shared_ptr<obs::LineageTracker>& lineage() const { return lineage_; }
     std::string trace_path_for(std::uint64_t id) const;
 
     // The order jobs were admitted to run, for the fairness test.
@@ -119,7 +122,7 @@ private:
         JobOutcome outcome;  // valid once terminal (done/cancelled)
         bool resumed = false;
         // Telemetry: the submitting HTTP request (0 = direct submit()) and
-        // the per-job resource accounting (DESIGN.md section 13).
+        // the per-job resource accounting (DESIGN.md section 12).
         std::uint64_t request_id = 0;
         std::chrono::steady_clock::time_point submitted_at{};
         std::chrono::steady_clock::time_point admitted_at{};
@@ -131,11 +134,14 @@ private:
 
     void job_main(Job& job);
     void finish(Job& job, JobState state, std::string error);
+    void publish_pool_gauges() const;  // jobs.queued/running/workers_busy
     void log_job(obs::LogLevel level, const Job& job, std::string_view phase,
                  std::string_view detail = {}) const;
     std::string status_json_locked(const Job& job) const;
 
     SchedulerConfig config_;
+    const std::shared_ptr<obs::LineageTracker> lineage_ =
+        std::make_shared<obs::LineageTracker>();
 
     mutable std::mutex mutex_;
     mutable std::condition_variable cv_;

@@ -110,15 +110,15 @@ TEST(ObsHttpServer, RoutesBodies)
     progress->on_run_start("ga", 10);
     ObsHttpServer server{{}, metrics, progress};
 
-    EXPECT_EQ(server.body_for("/healthz"), "ok\n");
-    const std::string exposition = server.body_for("/metrics");
+    EXPECT_EQ(server.respond("GET", "/healthz", {}).body, "ok\n");
+    const std::string exposition = server.respond("GET", "/metrics", {}).body;
     EXPECT_NE(exposition.find("nautilus_eval_items_total 5"), std::string::npos);
     EXPECT_NE(exposition.find("nautilus_progress_running 1"), std::string::npos);
-    const std::string status = server.body_for("/status");
+    const std::string status = server.respond("GET", "/status", {}).body;
     EXPECT_NE(status.find("\"engine\":\"ga\""), std::string::npos);
     EXPECT_NE(status.find("\"running\":true"), std::string::npos);
-    EXPECT_NE(server.body_for("/").find("/metrics"), std::string::npos);
-    EXPECT_TRUE(server.body_for("/nope").empty());
+    EXPECT_NE(server.respond("GET", "/", {}).body.find("/metrics"), std::string::npos);
+    EXPECT_EQ(server.respond("GET", "/nope", {}).status, 404);
 }
 
 TEST(ObsHttpServer, NullSourcesServeEmptyDefaults)
@@ -126,13 +126,13 @@ TEST(ObsHttpServer, NullSourcesServeEmptyDefaults)
     ObsHttpServer server{{}, nullptr, nullptr};
     // /status always reports the server's own uptime, even with no sources
     // attached; everything else stays at its empty default.
-    const std::string status = server.body_for("/status");
+    const std::string status = server.respond("GET", "/status", {}).body;
     EXPECT_EQ(status.rfind("{\"uptime_seconds\":", 0), 0u) << status;
     EXPECT_EQ(status.back(), '\n');
-    EXPECT_EQ(server.body_for("/lineage"), "{}\n");
+    EXPECT_EQ(server.respond("GET", "/lineage", {}).body, "{}\n");
     // No logger attached: /logs is absent (404 through respond()).
-    EXPECT_TRUE(server.body_for("/logs").empty());
-    EXPECT_TRUE(server.body_for("/metrics").empty());
+    EXPECT_EQ(server.respond("GET", "/logs", {}).status, 404);
+    EXPECT_TRUE(server.respond("GET", "/metrics", {}).body.empty());
 }
 
 TEST(ObsHttpServer, LineageEndpointServesCountersAndExposition)

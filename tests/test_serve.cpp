@@ -655,7 +655,7 @@ TEST(JobSchedulerConcurrency, MixedJobsUnderScrapeLoadAreSafe)
     EXPECT_GT(scrapes.load(), 0u);
 
     // The scheduler metrics agree with what happened.
-    const std::string exposition = server.body_for("/metrics");
+    const std::string exposition = server.respond("GET", "/metrics", {}).body;
     EXPECT_NE(exposition.find("nautilus_jobs_submitted_total 8"), std::string::npos);
     EXPECT_NE(exposition.find("nautilus_jobs_completed_total 8"), std::string::npos);
     EXPECT_NE(exposition.find("nautilus_jobs_running 0"), std::string::npos);
@@ -780,6 +780,42 @@ TEST(JobServerTelemetry, RequestIdJoinsAccessLogServerLogAndTrace)
     EXPECT_TRUE(summary_joined);
 }
 
+// The server reports the jobs it ran: every job feeds the scheduler's
+// metrics registry and lineage tracker, which the CLI hands to the HTTP
+// server, and /status carries no progress of a run nothing feeds.
+TEST(JobServerTelemetry, FinishedJobFeedsLineageAndMetrics)
+{
+    SchedulerConfig cfg;
+    cfg.jobs_dir = fresh_dir("telemetry_reports");
+    cfg.metrics = std::make_shared<obs::MetricsRegistry>();
+    auto scheduler = std::make_shared<JobScheduler>(cfg);
+    obs::ObsHttpServer server{{}, cfg.metrics, nullptr, scheduler->lineage()};
+    server.attach_jobs(scheduler);  // no sockets: drive respond() directly
+
+    obs::HttpResponse r = server.respond(
+        "POST", "/jobs", R"({"engine":"ga","generations":4,"seed":5,"workers":2})");
+    ASSERT_EQ(r.status, 201) << r.body;
+    const std::uint64_t id = number_after(r.body, "\"id\":");
+    ASSERT_TRUE(scheduler->wait(id, 60.0));
+    ASSERT_EQ(scheduler->state(id), JobState::done);
+    std::optional<std::uint64_t> attempts;
+    for (const obs::TraceEvent& ev : trace_events(scheduler->trace_path_for(id)))
+        if (ev.type == "run_end") attempts = ev.unsigned_int("attempts");
+    ASSERT_TRUE(attempts.has_value());
+    ASSERT_GT(*attempts, 0u);
+
+    r = server.respond("GET", "/lineage", {});
+    EXPECT_NE(r.body.find("\"runs\":1,"), std::string::npos) << r.body;
+    EXPECT_NE(r.body.find("\"last_run\":{\"engine\":\"ga\""), std::string::npos) << r.body;
+    r = server.respond("GET", "/metrics", {});
+    EXPECT_NE(r.body.find("\nnautilus_eval_attempts_total " + std::to_string(*attempts) + "\n"),
+              std::string::npos)
+        << r.body;
+    r = server.respond("GET", "/status", {});
+    EXPECT_EQ(r.body.rfind("{\"uptime_seconds\":", 0), 0u) << r.body;
+    EXPECT_EQ(r.body.find("runs_started"), std::string::npos) << r.body;
+}
+
 // TSan target (matches the CI '*Concurren*' filter): scrape /logs and
 // /metrics continuously while a 4-worker GA job runs with logging on.  The
 // seqlock ring and the metrics registry must be race-free under this load.
@@ -828,7 +864,7 @@ TEST(JobSchedulerConcurrency, LogsAndMetricsScrapeDuringGaJobIsSafe)
     EXPECT_GT(logger->records_logged(), 0u);
 
     // The HTTP self-metrics counted the scrape traffic.
-    const std::string exposition = server.body_for("/metrics");
+    const std::string exposition = server.respond("GET", "/metrics", {}).body;
     EXPECT_NE(exposition.find("nautilus_http_requests_total"), std::string::npos);
     EXPECT_NE(exposition.find("nautilus_http_requests_2xx_total"), std::string::npos);
     EXPECT_NE(exposition.find("nautilus_http_request_seconds_count"), std::string::npos);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 namespace nautilus::noc {
@@ -263,6 +265,58 @@ TEST(LoadLatency, FatTreeSustainsLowLatencyAtRingSaturation)
     const double rate = ring.saturation_injection * 0.95;
     EXPECT_LT(latency_at_load_cycles(ft, 2, 512, 64, rate),
               latency_at_load_cycles(ring, 2, 512, 64, rate));
+}
+
+// Every family's uniform-traffic analysis at 64 endpoints, pinned bit for
+// bit: the channel count, an FNV-1a digest of the per-channel loads' IEEE-754
+// bits, and the bits of the three scalars.  A faster router or channel
+// lookup must reproduce each of them exactly.
+TEST(TrafficGolden, SixtyFourEndpointAnalysesAreBitExact)
+{
+    struct Golden {
+        TopologyKind kind;
+        std::size_t channels;
+        std::uint64_t load_digest;
+        std::uint64_t avg_hops;
+        std::uint64_t max_channel_load;
+        std::uint64_t saturation_injection;
+    };
+    const Golden goldens[] = {
+        {TopologyKind::ring, 128, 0x3f278cdfd0bca325ull,
+         0x4030410410410410ull, 0x4020c30c30c30c31ull, 0x3fbe8ba2e8ba2e8bull},
+        {TopologyKind::double_ring, 256, 0xc655ec0d6a5c3125ull,
+         0x4030410410410410ull, 0x4011451451451451ull, 0x3fcda5a5a5a5a5a6ull},
+        {TopologyKind::conc_ring, 32, 0x3952c59dc9971aa5ull,
+         0x4010410410410410ull, 0x4022492492492492ull, 0x3fbc000000000000ull},
+        {TopologyKind::conc_double_ring, 64, 0x90002e4d13077c25ull,
+         0x4010410410410410ull, 0x4012492492492492ull, 0x3fcc000000000000ull},
+        {TopologyKind::mesh, 224, 0x0d249920b3b71f85ull,
+         0x4015555555555555ull, 0x4000410410410410ull, 0x3fdf800000000000ull},
+        {TopologyKind::torus, 256, 0xf218a136a5eb3625ull,
+         0x4010410410410410ull, 0x3ff4514514514514ull, 0x3fe9333333333334ull},
+        {TopologyKind::fat_tree, 256, 0x50ba9d7a3c52e825ull,
+         0x400b6db6db6db6dbull, 0x3fee79e79e79e79eull, 0x3ff0cccccccccccdull},
+        {TopologyKind::butterfly, 128, 0xf70adf42af8f1ea5ull,
+         0x4000000000000000ull, 0x3ff0410410410410ull, 0x3fef800000000000ull},
+    };
+    for (const Golden& g : goldens) {
+        const TrafficAnalysis t = analyze_uniform_traffic(graph_of(g.kind));
+        std::uint64_t digest = 0xcbf29ce484222325ull;
+        for (const double load : t.channel_load) {
+            const auto bits = std::bit_cast<std::uint64_t>(load);
+            for (int i = 0; i < 8; ++i) {
+                digest ^= static_cast<std::uint8_t>(bits >> (8 * i));
+                digest *= 0x100000001b3ull;
+            }
+        }
+        SCOPED_TRACE(topology_name(g.kind));
+        EXPECT_EQ(t.channel_load.size(), g.channels);
+        EXPECT_EQ(digest, g.load_digest);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(t.avg_hops), g.avg_hops);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(t.max_channel_load), g.max_channel_load);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(t.saturation_injection),
+                  g.saturation_injection);
+    }
 }
 
 }  // namespace

@@ -60,7 +60,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <optional>
@@ -70,6 +69,7 @@
 #include "obs/export.hpp"
 #include "obs/lineage.hpp"
 #include "obs/trace_runs.hpp"
+#include "strict_number.hpp"
 
 using namespace nautilus::obs;
 
@@ -116,30 +116,14 @@ public:
     // value() as a finite number, or exit 2 naming the flag.
     double number()
     {
-        const char* text = value();
-        try {
-            std::size_t used = 0;
-            const double v = std::stod(text, &used);
-            if (used == std::strlen(text) && std::isfinite(v)) return v;
-        }
-        catch (...) {
-        }
+        if (const auto v = nautilus::tools::parse_number(value())) return *v;
         invalid("a finite number");
     }
 
     // value() as a non-negative integer, or exit 2 naming the flag.
     std::uint64_t count()
     {
-        const char* text = value();
-        try {
-            std::size_t used = 0;
-            if (text[0] != '-' && text[0] != '+') {
-                const unsigned long long v = std::stoull(text, &used);
-                if (used == std::strlen(text)) return v;
-            }
-        }
-        catch (...) {
-        }
+        if (const auto v = nautilus::tools::parse_count(value())) return *v;
         invalid("a non-negative integer");
     }
 
