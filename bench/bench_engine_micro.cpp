@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -19,6 +20,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/breed.hpp"
 #include "core/ga.hpp"
@@ -462,8 +464,9 @@ int write_obs_bench(const std::string& path)
 //
 // `--engine-json PATH` measures the breeding hot path on the paper-scale NoC
 // GA configuration (router space, population 10, strong guidance, roulette
-// selection -- the GaConfig defaults) and writes the flat artifact documented
-// in EXPERIMENTS.md (`nautilus-bench-engine/2`).  `--engine-baseline FILE`
+// selection -- the GaConfig defaults), plus the memo and router-model costs
+// under one wave slot, and writes the flat artifact documented
+// in EXPERIMENTS.md (`nautilus-bench-engine/3`).  `--engine-baseline FILE`
 // compares against a committed artifact; `--max-breed-drop PCT` turns that
 // comparison into a gate on breed throughput.
 
@@ -587,6 +590,47 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
     const double ga_seconds =
         median_seconds([&] { benchmark::DoNotOptimize(ga.run(seed++)); }, kGaReps);
 
+    // 4) The layers under a wave slot, on distinct router genomes (about one
+    //    query_router query's worth).  Memo lookups get the key precomputed,
+    //    as BatchEvaluator passes it.  Misses fill a fresh memo per rep with a
+    //    trivial EvalFn, so table growth is included and the model is not;
+    //    hits probe the filled memo.
+    constexpr std::size_t kLayerGenomes = 512;
+    std::vector<Genome> layer_genomes;
+    std::vector<std::uint64_t> layer_keys;
+    Rng layer_rng{11};
+    while (layer_genomes.size() < kLayerGenomes) {
+        Genome g = Genome::random(space, layer_rng);
+        if (std::find(layer_keys.begin(), layer_keys.end(), g.key()) != layer_keys.end())
+            continue;
+        layer_keys.push_back(g.key());
+        layer_genomes.push_back(std::move(g));
+    }
+    const EvalFn trivial = [](const Genome& g) {
+        return Evaluation{true, static_cast<double>(g.gene(0))};
+    };
+    const auto lookup_all = [&](CachingEvaluator& memo) {
+        for (std::size_t i = 0; i < kLayerGenomes; ++i)
+            benchmark::DoNotOptimize(memo.evaluate(layer_genomes[i], layer_keys[i]));
+    };
+    constexpr int kMemoReps = 400;
+    const double memo_miss_seconds = median_seconds(
+        [&] {
+            CachingEvaluator memo{trivial};
+            lookup_all(memo);
+        },
+        kMemoReps);
+    CachingEvaluator warm{trivial};
+    lookup_all(warm);
+    const double memo_hit_seconds = median_seconds([&] { lookup_all(warm); }, kMemoReps);
+    constexpr int kModelReps = 20;
+    const double model_seconds = median_seconds(
+        [&] {
+            for (const Genome& g : layer_genomes) benchmark::DoNotOptimize(gen.evaluate(g));
+        },
+        kModelReps);
+    const double per_lookup = 1.0 / (static_cast<double>(kMemoReps) * kLayerGenomes);
+
     std::ofstream out{path};
     if (!out) {
         std::fprintf(stderr, "bench_engine_micro: cannot write %s\n", path.c_str());
@@ -595,7 +639,7 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
     char buf[1024];
     std::snprintf(buf, sizeof buf,
                   "{\n"
-                  "  \"schema\": \"nautilus-bench-engine/2\",\n"
+                  "  \"schema\": \"nautilus-bench-engine/3\",\n"
                   "  \"population\": %zu,\n"
                   "  \"genes\": %zu,\n"
                   "  \"generations_per_rep\": %zu,\n"
@@ -603,11 +647,16 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
                   "  \"dist_memo_hit_rate\": %.4f,\n"
                   "  \"diversity_pairwise_us\": %.3f,\n"
                   "  \"diversity_incremental_us\": %.3f,\n"
-                  "  \"ga_run_dataop_seconds\": %.6f\n"
+                  "  \"ga_run_dataop_seconds\": %.6f,\n"
+                  "  \"memo_hit_ns\": %.1f,\n"
+                  "  \"memo_miss_ns\": %.1f,\n"
+                  "  \"router_eval_us\": %.3f\n"
                   "}\n",
                   breed_cfg.population_size, space.size(), kGenerations, children_per_s,
                   memo_hit_rate, pairwise_seconds / kDiversityReps * 1e6,
-                  incremental_seconds / kDiversityReps * 1e6, ga_seconds);
+                  incremental_seconds / kDiversityReps * 1e6, ga_seconds,
+                  memo_hit_seconds * per_lookup * 1e9, memo_miss_seconds * per_lookup * 1e9,
+                  model_seconds / (static_cast<double>(kModelReps) * kLayerGenomes) * 1e6);
     out << buf;
     std::printf("%s", buf);
     std::printf("bench_engine_micro: wrote %s\n", path.c_str());

@@ -71,7 +71,9 @@ public:
         run_batch(genomes.size(), [&](std::size_t i) {
             const auto item_start = instrumented ? std::chrono::steady_clock::now()
                                                  : std::chrono::steady_clock::time_point{};
-            out[i] = evaluator.evaluate(genomes[i]);
+            // The slot's one hash, taken outside the memo lock and handed
+            // down to the store and the guard.
+            out[i] = evaluator.evaluate(genomes[i], genomes[i].key());
             if (instrumented)
                 busy_ns.fetch_add(static_cast<std::uint64_t>(
                                       std::chrono::duration_cast<std::chrono::nanoseconds>(

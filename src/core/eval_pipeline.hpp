@@ -140,7 +140,7 @@ struct StoreCodec<ObjectiveValues> {
 // Nsga2Checkpoint both carry it.
 template <typename Value>
 struct EvalState {
-    std::vector<std::pair<Genome, Value>> cache;  // sorted by genome key
+    std::vector<std::pair<Genome, Value>> cache;  // sorted by genome key, then genes
     std::size_t distinct = 0;
     std::size_t calls = 0;
     std::vector<std::uint64_t> quarantine;
@@ -181,7 +181,7 @@ public:
     // count a stored record must carry.
     EvalPipeline(Fn fn, const EvalPipelineConfig& config, Value penalty, std::size_t arity = 1)
         : guard_{std::move(fn), config.fault, std::move(penalty)},
-          cache_{[this](const Genome& g) { return miss(g); }},
+          cache_{[this](const Genome& g, std::uint64_t key) { return miss(g, key); }},
           batch_{config.eval_workers},
           store_{config.store.get()},
           store_namespace_{config.store_namespace},
@@ -242,11 +242,12 @@ public:
     }
 
 private:
-    // A memo miss: the store first, then the guarded evaluation.
-    Value miss(const Genome& g)
+    // A memo miss: the store first, then the guarded evaluation.  `key` is
+    // g.key(), computed once by the wave.
+    Value miss(const Genome& g, std::uint64_t key)
     {
         if (store_ != nullptr) {
-            if (std::optional<StoredResult> hit = store_->lookup(store_namespace_, g)) {
+            if (std::optional<StoredResult> hit = store_->lookup(store_namespace_, g, key)) {
                 if (std::optional<Value> v = StoreCodec<Value>::decode(std::move(*hit), arity_)) {
                     store_hits_.fetch_add(1, std::memory_order_relaxed);
                     return std::move(*v);
@@ -254,11 +255,11 @@ private:
             }
         }
         EvalOutcome outcome;
-        Value v = guard_.evaluate(g, &outcome);
+        Value v = guard_.evaluate(g, key, &outcome);
         if (store_ != nullptr) {
             store_misses_.fetch_add(1, std::memory_order_relaxed);
             if (!outcome.penalized)
-                store_->insert(store_namespace_, g, StoreCodec<Value>::encode(v));
+                store_->insert(store_namespace_, g, key, StoreCodec<Value>::encode(v));
         }
         return v;
     }

@@ -304,8 +304,7 @@ void EvalStore::load_segment(const std::string& name, bool last)
         record.ns = ns;
         record.seq = seq_++;
         record.bytes = line.size() + 1;
-        const std::uint64_t key =
-            hash_combine(ns, Genome{std::vector<std::uint32_t>{record.genes}}.key());
+        const std::uint64_t key = hash_combine(ns, genes_key(record.genes));
         apply_record(key, std::move(record));
         ++disk_records_;
         disk_bytes_ += line.size() + 1;
@@ -314,9 +313,10 @@ void EvalStore::load_segment(const std::string& name, bool last)
     }
 }
 
-std::optional<StoredResult> EvalStore::lookup(std::uint64_t ns, const Genome& genome) const
+std::optional<StoredResult> EvalStore::lookup(std::uint64_t ns, const Genome& genome,
+                                              std::uint64_t genome_key) const
 {
-    const std::uint64_t key = hash_combine(ns, genome.key());
+    const std::uint64_t key = hash_combine(ns, genome_key);
     {
         std::shared_lock lock{mutex_};
         const auto it = index_.find(key);
@@ -333,9 +333,10 @@ std::optional<StoredResult> EvalStore::lookup(std::uint64_t ns, const Genome& ge
     return std::nullopt;
 }
 
-void EvalStore::insert(std::uint64_t ns, const Genome& genome, StoredResult result)
+void EvalStore::insert(std::uint64_t ns, const Genome& genome, std::uint64_t genome_key,
+                       StoredResult result)
 {
-    const std::uint64_t key = hash_combine(ns, genome.key());
+    const std::uint64_t key = hash_combine(ns, genome_key);
     std::string line = encode_record(ns, genome.genes(), result);
     bool do_flush = false;
     {

@@ -104,14 +104,19 @@ public:
     // namespaces of the same store directory.
     static std::uint64_t namespace_key(std::string_view context);
 
+    // Both paths take `genome_key` == genome.key(), the hash the evaluation
+    // pipeline already computed for the wave.
+
     // Read path: shared-lock index probe, no I/O.  Verifies the stored genome
     // gene-for-gene (64-bit keys can collide); a mismatch is a miss.
-    std::optional<StoredResult> lookup(std::uint64_t ns, const Genome& genome) const;
+    std::optional<StoredResult> lookup(std::uint64_t ns, const Genome& genome,
+                                       std::uint64_t genome_key) const;
 
     // Write path: updates the index immediately (visible to readers) and
     // queues the record for the next append batch.  Re-inserting an identical
     // record is a no-op; a different result for the same key supersedes.
-    void insert(std::uint64_t ns, const Genome& genome, StoredResult result);
+    void insert(std::uint64_t ns, const Genome& genome, std::uint64_t genome_key,
+                StoredResult result);
 
     // Append queued records to the active segment (fsync'd when configured).
     void flush();

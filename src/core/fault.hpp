@@ -52,7 +52,7 @@ struct EvalOutcome {
     EvalStatus status = EvalStatus::ok;
     std::size_t attempts = 0;  // underlying evaluation-function invocations
     bool penalized = false;    // value served is the quarantine penalty
-    std::string error;         // what() of the last failure, empty when ok
+    std::string error;         // what() of the last failure; not written on success
 };
 
 // Retry/backoff/timeout knobs for one evaluation pipeline.
@@ -136,13 +136,19 @@ public:
         }
     }
 
-    // Evaluate with retries.  Never throws when tolerate_failures is on
-    // (exhausted points are quarantined and answered with the penalty);
-    // rethrows the last attempt's error otherwise.  `out`, when non-null,
-    // receives the outcome of this call.
     Value evaluate(const Genome& genome, EvalOutcome* out = nullptr)
     {
-        const std::uint64_t key = genome.key();
+        return evaluate(genome, genome.key(), out);
+    }
+
+    // Evaluate with retries.  Never throws when tolerate_failures is on
+    // (exhausted points are quarantined and answered with the penalty);
+    // rethrows the last attempt's error otherwise.  `key` is genome.key()
+    // (it seeds the backoff jitter and names quarantined points).  `out`,
+    // when non-null, receives the outcome of this call; a success writes
+    // only its status, attempt count and penalty flag.
+    Value evaluate(const Genome& genome, std::uint64_t key, EvalOutcome* out = nullptr)
+    {
         EvalOutcome outcome;
         std::exception_ptr last_error;
         for (std::size_t attempt = 1; attempt <= policy_.retry.max_attempts; ++attempt) {
@@ -156,9 +162,11 @@ public:
             outcome.attempts = attempt;
             AttemptResult result = run_attempt(genome);
             if (result.status == EvalStatus::ok) {
-                outcome.status = EvalStatus::ok;
-                outcome.error.clear();
-                if (out != nullptr) *out = outcome;
+                if (out != nullptr) {
+                    out->status = EvalStatus::ok;
+                    out->attempts = attempt;
+                    out->penalized = false;
+                }
                 return std::move(*result.value);
             }
             outcome.status = result.status;
@@ -198,7 +206,7 @@ public:
                 .add("status", eval_status_name(outcome.status));
             inst_.tracer.emit(std::move(ev));
         }
-        if (out != nullptr) *out = outcome;
+        if (out != nullptr) *out = std::move(outcome);
         return penalty_;
     }
 

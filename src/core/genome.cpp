@@ -74,11 +74,16 @@ bool Genome::compatible_with(const ParameterSpace& space) const
     return true;
 }
 
-std::uint64_t Genome::key() const
+std::uint64_t genes_key(std::span<const std::uint32_t> genes)
 {
     std::uint64_t h = 0x6a09e667f3bcc908ull;
-    for (std::uint32_t g : genes_) h = hash_combine(h, g);
-    return hash_combine(h, genes_.size());
+    for (std::uint32_t g : genes) h = hash_combine(h, g);
+    return hash_combine(h, genes.size());
+}
+
+std::uint64_t Genome::key() const
+{
+    return genes_key(genes_);
 }
 
 std::string Genome::to_string(const ParameterSpace& space) const

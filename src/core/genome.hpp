@@ -55,7 +55,7 @@ public:
     // True if every gene index is within its domain's cardinality.
     bool compatible_with(const ParameterSpace& space) const;
 
-    // Stable 64-bit key for caching.
+    // Stable 64-bit key for caching: genes_key(genes()).
     std::uint64_t key() const;
 
     // "vcs=4 depth=16 width=64 ..." rendering for logs and examples.
@@ -66,6 +66,10 @@ public:
 private:
     std::vector<std::uint32_t> genes_;
 };
+
+// The one genome hash.  Memo, store, checkpoint order and chaos draws all
+// key on it, so it must never change.
+std::uint64_t genes_key(std::span<const std::uint32_t> genes);
 
 struct GenomeHash {
     std::size_t operator()(const Genome& g) const { return static_cast<std::size_t>(g.key()); }

@@ -6,26 +6,6 @@
 
 namespace nautilus {
 
-std::uint64_t splitmix64(std::uint64_t& state)
-{
-    state += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t mix64(std::uint64_t value)
-{
-    std::uint64_t state = value;
-    return splitmix64(state);
-}
-
-std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value)
-{
-    return mix64(seed ^ (value + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2)));
-}
-
 namespace {
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k)

@@ -13,15 +13,32 @@
 
 namespace nautilus {
 
+// The hashes are inline: genes_key runs hash_combine once per gene of
+// every genome an engine evaluates.
+
 // splitmix64 step: advances `state` and returns the next 64-bit output.
 // Also used standalone as a high-quality integer hash/mixer.
-std::uint64_t splitmix64(std::uint64_t& state);
+inline std::uint64_t splitmix64(std::uint64_t& state)
+{
+    state += 0x9e3779b97f4a7c15ull;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
 
 // Stateless mix of a single 64-bit value (splitmix64 finalizer).
-std::uint64_t mix64(std::uint64_t value);
+inline std::uint64_t mix64(std::uint64_t value)
+{
+    std::uint64_t state = value;
+    return splitmix64(state);
+}
 
 // Combine a running hash with one more 64-bit value.
-std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value);
+inline std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value)
+{
+    return mix64(seed ^ (value + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2)));
+}
 
 // xoshiro256** generator with convenience distributions.
 class Rng {

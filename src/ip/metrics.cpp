@@ -64,37 +64,12 @@ std::optional<Metric> metric_from_name(const std::string& name)
     return std::nullopt;
 }
 
-void MetricValues::set(Metric m, double value)
-{
-    for (auto& [metric, v] : values_) {
-        if (metric == m) {
-            v = value;
-            return;
-        }
-    }
-    values_.emplace_back(m, value);
-}
-
-bool MetricValues::has(Metric m) const
-{
-    for (const auto& [metric, v] : values_)
-        if (metric == m) return true;
-    return false;
-}
-
 double MetricValues::get(Metric m) const
 {
-    for (const auto& [metric, v] : values_)
-        if (metric == m) return v;
-    throw std::out_of_range(std::string("MetricValues::get: missing metric ") +
-                            metric_name(m));
-}
-
-std::optional<double> MetricValues::try_get(Metric m) const
-{
-    for (const auto& [metric, v] : values_)
-        if (metric == m) return v;
-    return std::nullopt;
+    if (!has(m))
+        throw std::out_of_range(std::string("MetricValues::get: missing metric ") +
+                                metric_name(m));
+    return values_[index(m)];
 }
 
 MetricValues MetricValues::infeasible_point()

@@ -6,10 +6,11 @@
 // (throughput, SNR, bisection bandwidth) and composite metrics
 // (throughput-per-LUT, area-delay product) -- paper section 4.1.
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/fitness.hpp"
 
@@ -34,6 +35,8 @@ enum class Metric {
 };
 
 inline constexpr std::size_t k_metric_count = 15;
+static_assert(static_cast<std::size_t>(Metric::saturation_injection) + 1 == k_metric_count,
+              "k_metric_count must cover every Metric");
 
 const char* metric_name(Metric m);
 const char* metric_unit(Metric m);
@@ -45,24 +48,35 @@ Direction metric_default_direction(Metric m);
 // Parse by name; nullopt for unknown strings.
 std::optional<Metric> metric_from_name(const std::string& name);
 
-// Metric values for one evaluated design point.
+// Metric values for one evaluated design point: one slot per Metric and a
+// presence mask, so a model call fills it without touching the heap.
 class MetricValues {
 public:
     bool feasible = true;
 
-    void set(Metric m, double value);
-    bool has(Metric m) const;
+    void set(Metric m, double value)
+    {
+        values_[index(m)] = value;
+        present_ |= bit(m);
+    }
+    bool has(Metric m) const { return (present_ & bit(m)) != 0; }
     // Throws std::out_of_range when absent.
     double get(Metric m) const;
-    std::optional<double> try_get(Metric m) const;
-
-    const std::vector<std::pair<Metric, double>>& items() const { return values_; }
+    std::optional<double> try_get(Metric m) const
+    {
+        if (!has(m)) return std::nullopt;
+        return values_[index(m)];
+    }
 
     // Marks the point infeasible and clears values.
     static MetricValues infeasible_point();
 
 private:
-    std::vector<std::pair<Metric, double>> values_;
+    static std::size_t index(Metric m) { return static_cast<std::size_t>(m); }
+    static std::uint32_t bit(Metric m) { return std::uint32_t{1} << index(m); }
+
+    std::array<double, k_metric_count> values_{};
+    std::uint32_t present_ = 0;  // bit i set when Metric(i) has a value
 };
 
 // Fill in composite metrics from their components when present:

@@ -135,6 +135,7 @@ std::vector<synth::TimingPath> router_paths(const RouterConfig& c)
     constexpr double stage_overhead = 2.0;
 
     std::vector<synth::TimingPath> paths;
+    paths.reserve(4);  // the deepest (3-stage, non-speculative) pipeline has 4 paths
     const double xbar_fanout = w / 8.0;
     auto add = [&paths](std::string name, double levels, double fanout) {
         paths.push_back({std::move(name), levels + stage_overhead, fanout});

@@ -279,7 +279,7 @@ TEST_P(EvalPipelineContract, HoldsAcrossWorkersStoreAndFaults)
             EXPECT_FALSE(r[cold].quarantined.empty());
         }
         for (const std::uint64_t key : r[cold].quarantined)
-            EXPECT_FALSE(store->lookup(k_namespace, h.genome(key)).has_value());
+            EXPECT_FALSE(store->lookup(k_namespace, h.genome(key), key).has_value());
         EXPECT_EQ(store->records(),
                   r[cold].counters.store_misses - r[cold].counters.fault.penalties);
     }

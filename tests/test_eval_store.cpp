@@ -9,6 +9,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -42,6 +43,17 @@ EvalStoreConfig small_config(const std::string& name)
 Genome genome(std::initializer_list<std::uint32_t> genes)
 {
     return Genome{std::vector<std::uint32_t>(genes)};
+}
+
+// The store takes the genome key the pipeline computed; tests hash here.
+std::optional<StoredResult> lookup(const EvalStore& store, std::uint64_t ns, const Genome& g)
+{
+    return store.lookup(ns, g, g.key());
+}
+
+void insert(EvalStore& store, std::uint64_t ns, const Genome& g, StoredResult result)
+{
+    store.insert(ns, g, g.key(), std::move(result));
 }
 
 // The single segment file of a freshly flushed store (tests that tamper
@@ -94,14 +106,14 @@ TEST(EvalStore, RoundTripAcrossReopenIsBitExact)
                                         std::numeric_limits<double>::max()};
     {
         EvalStore store{cfg};
-        store.insert(ns, genome({1, 2, 3}), StoredResult{true, tricky});
-        store.insert(ns, genome({4, 5, 6}), StoredResult{false, {}});
+        insert(store, ns, genome({1, 2, 3}), StoredResult{true, tricky});
+        insert(store, ns, genome({4, 5, 6}), StoredResult{false, {}});
         store.flush();
     }
     EvalStore reopened{cfg};
     EXPECT_EQ(reopened.records(), 2u);
 
-    const auto hit = reopened.lookup(ns, genome({1, 2, 3}));
+    const auto hit = lookup(reopened, ns, genome({1, 2, 3}));
     ASSERT_TRUE(hit.has_value());
     EXPECT_TRUE(hit->feasible);
     ASSERT_EQ(hit->values.size(), tricky.size());
@@ -110,12 +122,12 @@ TEST(EvalStore, RoundTripAcrossReopenIsBitExact)
                   std::bit_cast<std::uint64_t>(tricky[i]))
             << "value " << i << " not bit-exact";
 
-    const auto infeasible = reopened.lookup(ns, genome({4, 5, 6}));
+    const auto infeasible = lookup(reopened, ns, genome({4, 5, 6}));
     ASSERT_TRUE(infeasible.has_value());
     EXPECT_FALSE(infeasible->feasible);
     EXPECT_TRUE(infeasible->values.empty());
 
-    EXPECT_FALSE(reopened.lookup(ns, genome({9, 9, 9})).has_value());
+    EXPECT_FALSE(lookup(reopened, ns, genome({9, 9, 9})).has_value());
     EXPECT_EQ(reopened.counters().hits, 2u);
     EXPECT_EQ(reopened.counters().misses, 1u);
 }
@@ -128,11 +140,11 @@ TEST(EvalStore, NamespacesIsolateResults)
     ASSERT_NE(ns_a, ns_b);
 
     EvalStore store{cfg};
-    store.insert(ns_a, genome({7, 7}), StoredResult{true, {1.0}});
-    store.insert(ns_b, genome({7, 7}), StoredResult{true, {2.0}});
+    insert(store, ns_a, genome({7, 7}), StoredResult{true, {1.0}});
+    insert(store, ns_b, genome({7, 7}), StoredResult{true, {2.0}});
     EXPECT_EQ(store.records(), 2u);
-    EXPECT_EQ(store.lookup(ns_a, genome({7, 7}))->values.front(), 1.0);
-    EXPECT_EQ(store.lookup(ns_b, genome({7, 7}))->values.front(), 2.0);
+    EXPECT_EQ(lookup(store, ns_a, genome({7, 7}))->values.front(), 1.0);
+    EXPECT_EQ(lookup(store, ns_b, genome({7, 7}))->values.front(), 2.0);
 }
 
 TEST(EvalStore, TornTailIsTruncatedAndStoreStaysUsable)
@@ -142,7 +154,7 @@ TEST(EvalStore, TornTailIsTruncatedAndStoreStaysUsable)
     {
         EvalStore store{cfg};
         for (std::uint32_t i = 0; i < 5; ++i)
-            store.insert(ns, genome({i, i + 1}), StoredResult{true, {double(i)}});
+            insert(store, ns, genome({i, i + 1}), StoredResult{true, {double(i)}});
         store.flush();
     }
     // Simulate a crash mid-append: chop bytes off the end of the segment so
@@ -155,8 +167,8 @@ TEST(EvalStore, TornTailIsTruncatedAndStoreStaysUsable)
     EXPECT_EQ(reopened.records(), 4u);
     EXPECT_GE(reopened.counters().torn_dropped, 1u);
     // The dropped record reads as a miss and can be re-inserted.
-    EXPECT_FALSE(reopened.lookup(ns, genome({4, 5})).has_value());
-    reopened.insert(ns, genome({4, 5}), StoredResult{true, {4.0}});
+    EXPECT_FALSE(lookup(reopened, ns, genome({4, 5})).has_value());
+    insert(reopened, ns, genome({4, 5}), StoredResult{true, {4.0}});
     reopened.flush();
     EXPECT_EQ(reopened.records(), 5u);
 
@@ -164,7 +176,7 @@ TEST(EvalStore, TornTailIsTruncatedAndStoreStaysUsable)
     EvalStore again{cfg};
     EXPECT_EQ(again.records(), 5u);
     EXPECT_EQ(again.counters().torn_dropped, 0u);
-    EXPECT_EQ(again.lookup(ns, genome({4, 5}))->values.front(), 4.0);
+    EXPECT_EQ(lookup(again, ns, genome({4, 5}))->values.front(), 4.0);
 }
 
 TEST(EvalStore, MissingTrailingNewlineIsATornTail)
@@ -172,8 +184,8 @@ TEST(EvalStore, MissingTrailingNewlineIsATornTail)
     const EvalStoreConfig cfg = small_config("nonewline");
     {
         EvalStore store{cfg};
-        store.insert(2, genome({1}), StoredResult{true, {1.5}});
-        store.insert(2, genome({2}), StoredResult{true, {2.5}});
+        insert(store, 2, genome({1}), StoredResult{true, {1.5}});
+        insert(store, 2, genome({2}), StoredResult{true, {2.5}});
         store.flush();
     }
     const std::string seg = only_segment(cfg.path);
@@ -190,7 +202,7 @@ TEST(EvalStore, MidFileCorruptionIsAHardError)
     {
         EvalStore store{cfg};
         for (std::uint32_t i = 0; i < 4; ++i)
-            store.insert(3, genome({i}), StoredResult{true, {double(i)}});
+            insert(store, 3, genome({i}), StoredResult{true, {double(i)}});
         store.flush();
     }
     // Flip a digit inside the *first* record; this cannot be a torn tail, so
@@ -218,26 +230,26 @@ TEST(EvalStore, CompactionDropsSupersededDuplicates)
     const EvalStoreConfig cfg = small_config("compact");
     EvalStore store{cfg};
     for (int round = 0; round < 3; ++round)
-        store.insert(4, genome({1, 2}), StoredResult{true, {double(round)}});
-    store.insert(4, genome({3, 4}), StoredResult{true, {9.0}});
+        insert(store, 4, genome({1, 2}), StoredResult{true, {double(round)}});
+    insert(store, 4, genome({3, 4}), StoredResult{true, {9.0}});
     store.flush();
     store.compact();
     EXPECT_EQ(store.records(), 2u);
     EXPECT_GE(store.counters().compactions, 1u);
-    EXPECT_EQ(store.lookup(4, genome({1, 2}))->values.front(), 2.0);
+    EXPECT_EQ(lookup(store, 4, genome({1, 2}))->values.front(), 2.0);
 
     // Compaction commits through the manifest, so a reopen agrees.
     EvalStore reopened{cfg};
     EXPECT_EQ(reopened.records(), 2u);
-    EXPECT_EQ(reopened.lookup(4, genome({1, 2}))->values.front(), 2.0);
-    EXPECT_EQ(reopened.lookup(4, genome({3, 4}))->values.front(), 9.0);
+    EXPECT_EQ(lookup(reopened, 4, genome({1, 2}))->values.front(), 2.0);
+    EXPECT_EQ(lookup(reopened, 4, genome({3, 4}))->values.front(), 9.0);
 }
 
 TEST(EvalStore, SizeBudgetEvictsOldestFirst)
 {
     EvalStoreConfig cfg = small_config("evict");
     EvalStore probe{cfg};
-    probe.insert(5, genome({0}), StoredResult{true, {0.0}});
+    insert(probe, 5, genome({0}), StoredResult{true, {0.0}});
     const std::uint64_t per_record = probe.live_bytes();
     ASSERT_GT(per_record, 0u);
 
@@ -245,7 +257,7 @@ TEST(EvalStore, SizeBudgetEvictsOldestFirst)
     cfg.max_bytes = per_record * 3;  // room for three records
     EvalStore store{cfg};
     for (std::uint32_t i = 0; i < 8; ++i)
-        store.insert(5, genome({i}), StoredResult{true, {double(i)}});
+        insert(store, 5, genome({i}), StoredResult{true, {double(i)}});
     store.flush();
     store.compact();
 
@@ -253,8 +265,8 @@ TEST(EvalStore, SizeBudgetEvictsOldestFirst)
     EXPECT_GT(store.counters().evictions, 0u);
     EXPECT_LE(store.live_bytes(), cfg.max_bytes);
     // Newest records survive; the oldest are gone.
-    EXPECT_TRUE(store.lookup(5, genome({7})).has_value());
-    EXPECT_FALSE(store.lookup(5, genome({0})).has_value());
+    EXPECT_TRUE(lookup(store, 5, genome({7})).has_value());
+    EXPECT_FALSE(lookup(store, 5, genome({0})).has_value());
 }
 
 TEST(EvalStore, ConcurrentReadersWithSingleWriter)
@@ -263,7 +275,7 @@ TEST(EvalStore, ConcurrentReadersWithSingleWriter)
     EvalStore store{cfg};
     constexpr std::uint32_t kRecords = 200;
     for (std::uint32_t i = 0; i < kRecords / 2; ++i)
-        store.insert(6, genome({i}), StoredResult{true, {double(i)}});
+        insert(store, 6, genome({i}), StoredResult{true, {double(i)}});
 
     std::atomic<bool> stop{false};
     std::atomic<std::size_t> wrong{0};
@@ -272,7 +284,7 @@ TEST(EvalStore, ConcurrentReadersWithSingleWriter)
         readers.emplace_back([&] {
             while (!stop.load(std::memory_order_acquire)) {
                 for (std::uint32_t i = 0; i < kRecords; ++i) {
-                    const auto hit = store.lookup(6, genome({i}));
+                    const auto hit = lookup(store, 6, genome({i}));
                     if (hit && hit->values.front() != double(i))
                         wrong.fetch_add(1, std::memory_order_relaxed);
                 }
@@ -280,7 +292,7 @@ TEST(EvalStore, ConcurrentReadersWithSingleWriter)
         });
     }
     for (std::uint32_t i = kRecords / 2; i < kRecords; ++i)
-        store.insert(6, genome({i}), StoredResult{true, {double(i)}});
+        insert(store, 6, genome({i}), StoredResult{true, {double(i)}});
     store.flush();
     store.compact();
     stop.store(true, std::memory_order_release);

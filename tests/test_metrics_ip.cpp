@@ -2,19 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace nautilus::ip {
 namespace {
 
+// Every Metric, in declaration order.
+std::vector<Metric> all_metrics()
+{
+    std::vector<Metric> all;
+    for (std::size_t i = 0; i < k_metric_count; ++i) all.push_back(static_cast<Metric>(i));
+    return all;
+}
+
 TEST(Metric, NamesRoundTrip)
 {
-    const Metric all[] = {Metric::area_luts,       Metric::ffs,
-                          Metric::brams,           Metric::dsps,
-                          Metric::freq_mhz,        Metric::period_ns,
-                          Metric::power_mw,        Metric::area_mm2,
-                          Metric::throughput_msps, Metric::snr_db,
-                          Metric::bisection_gbps,  Metric::area_delay_product,
-                          Metric::throughput_per_lut, Metric::latency_ns,
-                          Metric::saturation_injection};
+    const std::vector<Metric> all = all_metrics();
+    EXPECT_EQ(all.back(), Metric::saturation_injection);
     for (Metric m : all) {
         const auto parsed = metric_from_name(metric_name(m));
         ASSERT_TRUE(parsed.has_value()) << metric_name(m);
@@ -40,7 +44,34 @@ TEST(MetricValues, SetGetAndOverwrite)
     EXPECT_DOUBLE_EQ(mv.get(Metric::area_luts), 100.0);
     mv.set(Metric::area_luts, 200.0);
     EXPECT_DOUBLE_EQ(mv.get(Metric::area_luts), 200.0);
-    EXPECT_EQ(mv.items().size(), 1u);
+    EXPECT_EQ(mv.try_get(Metric::area_luts), 200.0);
+    // Overwriting one metric leaves every other one absent.
+    for (Metric m : all_metrics()) {
+        if (m == Metric::area_luts) continue;
+        EXPECT_FALSE(mv.has(m)) << metric_name(m);
+        EXPECT_FALSE(mv.try_get(m).has_value()) << metric_name(m);
+    }
+}
+
+TEST(MetricValues, EveryMetricHoldsItsOwnValue)
+{
+    const std::vector<Metric> all = all_metrics();
+    MetricValues mv;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        EXPECT_FALSE(mv.has(all[i])) << metric_name(all[i]);
+        mv.set(all[i], 10.0 * static_cast<double>(i) - 3.5);
+        // Setting one metric reveals it and no later one.
+        for (std::size_t j = 0; j < all.size(); ++j)
+            EXPECT_EQ(mv.has(all[j]), j <= i) << metric_name(all[j]);
+    }
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        EXPECT_EQ(mv.get(all[i]), 10.0 * static_cast<double>(i) - 3.5) << metric_name(all[i]);
+        EXPECT_EQ(mv.try_get(all[i]), 10.0 * static_cast<double>(i) - 3.5);
+    }
+    // Overwrite in reverse order; each slot keeps only its last value.
+    for (std::size_t i = all.size(); i-- > 0;) mv.set(all[i], -static_cast<double>(i));
+    for (std::size_t i = 0; i < all.size(); ++i)
+        EXPECT_EQ(mv.get(all[i]), -static_cast<double>(i)) << metric_name(all[i]);
 }
 
 TEST(MetricValues, MissingMetricThrowsOrReturnsNullopt)
@@ -54,7 +85,11 @@ TEST(MetricValues, InfeasiblePoint)
 {
     const MetricValues mv = MetricValues::infeasible_point();
     EXPECT_FALSE(mv.feasible);
-    EXPECT_TRUE(mv.items().empty());
+    for (Metric m : all_metrics()) {
+        EXPECT_FALSE(mv.has(m)) << metric_name(m);
+        EXPECT_FALSE(mv.try_get(m).has_value()) << metric_name(m);
+        EXPECT_THROW(mv.get(m), std::out_of_range) << metric_name(m);
+    }
 }
 
 TEST(DeriveComposites, PeriodFromFrequency)
@@ -96,7 +131,7 @@ TEST(DeriveComposites, SkipsInfeasibleAndZeroDenominators)
 {
     MetricValues infeasible = MetricValues::infeasible_point();
     derive_composites(infeasible);
-    EXPECT_TRUE(infeasible.items().empty());
+    for (Metric m : all_metrics()) EXPECT_FALSE(infeasible.has(m)) << metric_name(m);
 
     MetricValues zero_luts;
     zero_luts.set(Metric::throughput_msps, 10.0);
