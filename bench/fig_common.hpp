@@ -1,11 +1,8 @@
 #pragma once
-// Shared plumbing for the Figure 4-7 benches: run a baseline-vs-Nautilus
-// experiment against an offline dataset with the paper's configuration and
-// print the standard report.
+// The paper's experiment configuration for the extension benches; the
+// paper's own figures are rows of bench_paper.
 
 #include <cstdio>
-#include <iostream>
-#include <optional>
 
 #include "exp/experiment.hpp"
 #include "ip/dataset.hpp"
@@ -20,21 +17,5 @@ inline exp::ExperimentConfig paper_config(std::size_t runs = 40, std::size_t gen
     cfg.ga.seed = 2015;
     return cfg;
 }
-
-struct FigureReport {
-    exp::ExperimentResult result;
-
-    void print_speedups(double threshold, const std::string& label) const
-    {
-        result.print_convergence(std::cout, threshold, label);
-        const auto& baseline = result.engines.front().curve;
-        for (std::size_t i = 1; i < result.engines.size(); ++i) {
-            const auto s = speedup_at_threshold(baseline, result.engines[i].curve, threshold);
-            if (s)
-                std::printf("    per-run speedup %s vs baseline: %.2fx\n",
-                            result.engines[i].spec.label.c_str(), *s);
-        }
-    }
-};
 
 }  // namespace nautilus::bench

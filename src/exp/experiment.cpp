@@ -1,10 +1,13 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <iomanip>
 #include <ostream>
 #include <stdexcept>
 
+#include "core/local_search.hpp"
+#include "core/random_search.hpp"
 #include "ip/metrics.hpp"
 
 namespace nautilus::exp {
@@ -34,11 +37,6 @@ void Experiment::add_standard_engines()
     add_engine({"nautilus-strong", GuidanceLevel::strong, std::nullopt, std::nullopt});
 }
 
-void Experiment::enable_random_search(std::size_t max_distinct_evals)
-{
-    random_budget_ = max_distinct_evals;
-}
-
 EvalFn Experiment::make_eval() const
 {
     if (dataset_ != nullptr)
@@ -62,27 +60,68 @@ ExperimentResult Experiment::run() const
         double confidence = guidance_confidence(spec.level, hints.confidence());
         if (spec.confidence_override) confidence = *spec.confidence_override;
         hints.set_confidence(confidence);
-
-        const GaEngine engine{generator_.space(), config_.ga, query_.direction, eval, hints};
-        EvalSummary summary;
-        MultiRunCurve curve = engine.run_many(config_.runs, &summary);
-        result.engines.emplace_back(spec, std::move(curve), summary);
-    }
-
-    if (random_budget_) {
-        RandomSearchConfig rc;
-        rc.max_distinct_evals = *random_budget_;
-        rc.seed = config_.ga.seed ^ 0x5eedull;
-        // Random search shares the GA's evaluation pipeline settings so the
-        // comparison (and any trace) covers both engines uniformly.
-        rc.eval_workers = config_.ga.eval_workers;
-        rc.obs = config_.ga.obs;
-        rc.store = config_.ga.store;
-        rc.store_namespace = config_.ga.store_namespace;
-        const RandomSearch rs{generator_.space(), rc, query_.direction, eval};
-        result.random_search = rs.run_many(config_.runs);
+        result.engines.push_back(run_engine(spec, std::move(hints), eval));
     }
     return result;
+}
+
+EngineResult Experiment::run_engine(const EngineSpec& spec, HintSet hints,
+                                    const EvalFn& eval) const
+{
+    const ParameterSpace& space = generator_.space();
+    const Direction dir = query_.direction;
+    // The budgeted engines share the GA's evaluation pipeline settings, so
+    // the comparison (and any trace) covers every engine uniformly; they
+    // report a curve plus counters, wrapped here as a RunResult.
+    auto budgeted = [&](auto cfg) {
+        static_cast<EvalPipelineConfig&>(cfg) = config_.ga;
+        cfg.max_distinct_evals = spec.budget;
+        return cfg;
+    };
+    auto counted = [dir](auto engine) {
+        return [dir, engine = std::move(engine)](std::uint64_t seed) {
+            EvalCounters counters;
+            RunResult r{dir};
+            r.curve = engine.run(seed, &counters);
+            counters.copy_to(r);
+            return r;
+        };
+    };
+    std::function<RunResult(std::uint64_t)> run_one;
+    switch (spec.kind) {
+    case EngineKind::ga:
+        run_one = [engine = GaEngine{space, config_.ga, dir, eval, hints}](std::uint64_t seed) {
+            return engine.run(seed);
+        };
+        break;
+    case EngineKind::random:
+        run_one = counted(RandomSearch{space, budgeted(RandomSearchConfig{}), dir, eval});
+        break;
+    case EngineKind::hill_climb:
+        run_one = counted(HillClimber{space, budgeted(HillClimbConfig{}), dir, eval, hints});
+        break;
+    case EngineKind::anneal:
+        run_one = counted(SimulatedAnnealing{space, budgeted(AnnealingConfig{}), dir, eval, hints});
+        break;
+    }
+
+    // The engines' own run_many seeding, so each kind's curves are exactly
+    // its engine's run_many at this seed.
+    EngineResult out{spec, MultiRunCurve{dir}};
+    const std::uint64_t seed =
+        spec.kind == EngineKind::ga ? config_.ga.seed : config_.ga.seed ^ 0x5eedull;
+    out.curve = run_many_curves("Experiment::run", dir, seed, config_.runs, [&](std::uint64_t s) {
+        RunResult r = run_one(s);
+        out.eval.absorb(r);
+        if (!r.curve.empty()) {
+            out.run_evals.push_back(r.distinct_evals);
+            if (!r.history.empty()) out.generation_best.emplace_back();
+            for (const GenerationStats& g : r.history)
+                out.generation_best.back().push_back(g.best_so_far);
+        }
+        return std::move(r.curve);
+    });
+    return out;
 }
 
 std::vector<double> ExperimentResult::shared_grid() const
@@ -91,10 +130,6 @@ std::vector<double> ExperimentResult::shared_grid() const
     for (const auto& e : engines) {
         for (std::size_t r = 0; r < e.curve.runs(); ++r)
             max_evals = std::max(max_evals, e.curve.run(r).final_evals());
-    }
-    if (random_search) {
-        for (std::size_t r = 0; r < random_search->runs(); ++r)
-            max_evals = std::max(max_evals, random_search->run(r).final_evals());
     }
     const std::size_t points = std::max<std::size_t>(config.grid_points, 2);
     std::vector<double> grid(points);
@@ -107,9 +142,8 @@ std::vector<LabeledSeries> ExperimentResult::series() const
 {
     const std::vector<double> grid = shared_grid();
     std::vector<LabeledSeries> out;
-    out.reserve(engines.size() + 1);
+    out.reserve(engines.size());
     for (const auto& e : engines) out.push_back({e.spec.label, e.curve.mean_curve(grid)});
-    if (random_search) out.push_back({"random", random_search->mean_curve(grid)});
     return out;
 }
 
@@ -146,16 +180,6 @@ void ExperimentResult::print_convergence(std::ostream& out, double threshold,
                 << "x fewer than baseline]";
         }
         out << '\n';
-    }
-    if (random_search) {
-        const auto conv = random_search->evals_to_reach(threshold);
-        out << "    " << std::setw(18) << std::left << "random";
-        if (conv.reached * 2 < conv.runs)
-            out << "reached in only " << conv.reached << "/" << conv.runs << " runs\n";
-        else
-            out << std::fixed << std::setprecision(1) << std::setw(8) << conv.mean_evals
-                << " designs evaluated on average (" << conv.reached << "/" << conv.runs
-                << " runs reached)\n";
     }
 }
 

@@ -3,8 +3,9 @@
 //
 // One Experiment reproduces one of the paper's evaluation figures: it runs a
 // query with several engine variants (baseline GA, weakly/strongly guided
-// Nautilus, optionally random search), each averaged over many runs, and
-// reports convergence curves, evaluations-to-threshold and speedup factors.
+// Nautilus, random sampling or a local search), each averaged over many runs,
+// and reports convergence curves, evaluations-to-threshold and speedup
+// factors.
 
 #include <iosfwd>
 #include <optional>
@@ -13,12 +14,13 @@
 
 #include "core/ga.hpp"
 #include "core/nautilus.hpp"
-#include "core/random_search.hpp"
 #include "exp/query.hpp"
 #include "exp/series.hpp"
 #include "ip/dataset.hpp"
 
 namespace nautilus::exp {
+
+enum class EngineKind { ga, random, hill_climb, anneal };
 
 // One engine variant participating in a comparison.
 struct EngineSpec {
@@ -29,6 +31,11 @@ struct EngineSpec {
     std::optional<HintSet> hints_override;
     // Direct confidence override (for confidence-sweep ablations).
     std::optional<double> confidence_override;
+    // The search engine.  The non-GA kinds spend `budget` distinct
+    // evaluations per run, share the GA's evaluation pipeline settings and
+    // are seeded from `ga.seed ^ 0x5eed`.
+    EngineKind kind = EngineKind::ga;
+    std::size_t budget = 0;
 };
 
 struct ExperimentConfig {
@@ -41,18 +48,18 @@ struct EngineResult {
     EngineSpec spec;
     MultiRunCurve curve;
     EvalSummary eval;  // aggregate pipeline accounting over all runs
+    // Per run of `curve`: its distinct evaluations, and (GA only) its
+    // best-so-far value after each generation.
+    std::vector<std::size_t> run_evals;
+    std::vector<std::vector<double>> generation_best;
 
-    EngineResult(EngineSpec s, MultiRunCurve c, EvalSummary e = {})
-        : spec(std::move(s)), curve(std::move(c)), eval(e)
-    {
-    }
+    EngineResult(EngineSpec s, MultiRunCurve c) : spec(std::move(s)), curve(std::move(c)) {}
 };
 
 struct ExperimentResult {
     Query query;
     ExperimentConfig config;
     std::vector<EngineResult> engines;
-    std::optional<MultiRunCurve> random_search;
 
     // Mean curves resampled onto a shared grid.
     std::vector<LabeledSeries> series() const;
@@ -80,20 +87,17 @@ public:
     // Convenience: baseline + weak + strong trio.
     void add_standard_engines();
 
-    // Also run unguided random sampling with the same total budget.
-    void enable_random_search(std::size_t max_distinct_evals);
-
     ExperimentResult run() const;
 
 private:
     EvalFn make_eval() const;
+    EngineResult run_engine(const EngineSpec& spec, HintSet hints, const EvalFn& eval) const;
 
     const ip::IpGenerator& generator_;
     Query query_;
     ExperimentConfig config_;
     std::vector<EngineSpec> engines_;
     const ip::Dataset* dataset_ = nullptr;
-    std::optional<std::size_t> random_budget_;
 };
 
 }  // namespace nautilus::exp

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -388,6 +389,39 @@ TEST(EvalStoreGa, WarmRunReproducesColdRunSerially)
 TEST(EvalStoreGa, WarmRunReproducesColdRunWithWorkers)
 {
     check_warm_reproduces_cold(4);
+}
+
+// Records are appended in completion order, so segment bytes match across
+// worker counts only at 1 worker; the set of records must match at any.
+TEST(EvalStoreGa, ColdRunRecordsDoNotDependOnWorkerCount)
+{
+    const auto space = toy_space();
+    const EvalFn sum = [](const Genome& g) {
+        double v = 0.0;
+        for (std::size_t i = 0; i < g.size(); ++i) v += g.gene(i);
+        return Evaluation{true, v};
+    };
+    auto sorted_records = [&](std::size_t workers) {
+        const EvalStoreConfig cfg = small_config("records_w" + std::to_string(workers));
+        GaConfig ga;
+        ga.generations = 12;
+        ga.eval_workers = workers;
+        ga.store = std::make_shared<EvalStore>(cfg);
+        ga.store_namespace = EvalStore::namespace_key("toy/sum");
+        GaEngine{space, ga, Direction::maximize, sum, HintSet::none(space)}.run(99);
+        ga.store->flush();
+        std::vector<std::string> lines;
+        for (const auto& entry : std::filesystem::directory_iterator(cfg.path)) {
+            if (entry.path().filename().string().rfind("seg-", 0) != 0) continue;
+            std::ifstream in{entry.path()};
+            for (std::string line; std::getline(in, line);) lines.push_back(line);
+        }
+        std::sort(lines.begin(), lines.end());
+        return lines;
+    };
+    const std::vector<std::string> serial = sorted_records(1);
+    EXPECT_GT(serial.size(), 20u);
+    EXPECT_EQ(sorted_records(4), serial);
 }
 
 }  // namespace

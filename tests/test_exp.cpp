@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/local_search.hpp"
+
 #include <cmath>
 #include <sstream>
 
@@ -125,8 +127,11 @@ TEST(Experiment, RunsAllEngines)
     e.add_standard_engines();
     const ExperimentResult r = e.run();
     ASSERT_EQ(r.engines.size(), 3u);
-    for (const auto& er : r.engines) EXPECT_EQ(er.curve.runs(), 6u);
-    EXPECT_FALSE(r.random_search.has_value());
+    for (const auto& er : r.engines) {
+        EXPECT_EQ(er.curve.runs(), 6u);
+        EXPECT_EQ(er.run_evals.size(), 6u);
+        EXPECT_EQ(er.generation_best.size(), 6u);
+    }
 }
 
 TEST(Experiment, RandomSearchCanBeEnabled)
@@ -135,10 +140,48 @@ TEST(Experiment, RandomSearchCanBeEnabled)
     Experiment e{gen, Query::simple("q", Metric::freq_mhz, Direction::maximize),
                  tiny_config()};
     e.add_engine({"baseline", GuidanceLevel::none, std::nullopt, std::nullopt});
-    e.enable_random_search(50);
+    e.add_engine({"random", GuidanceLevel::none, std::nullopt, std::nullopt,
+                  EngineKind::random, 50});
     const ExperimentResult r = e.run();
-    ASSERT_TRUE(r.random_search.has_value());
-    EXPECT_EQ(r.random_search->runs(), 6u);
+    ASSERT_EQ(r.engines.size(), 2u);
+    const EngineResult& random = r.engines[1];
+    EXPECT_EQ(random.curve.runs(), 6u);
+    // Each run spends exactly its distinct-evaluation budget.
+    for (std::size_t evals : random.run_evals) EXPECT_EQ(evals, 50u);
+    EXPECT_EQ(random.eval.distinct_evals, 300u);
+    EXPECT_TRUE(random.generation_best.empty());
+}
+
+// A budgeted engine kind runs exactly as its engine's run_many at the seed
+// ga.seed ^ 0x5eed, with the spec's guidance applied to the author hints.
+TEST(Experiment, BudgetedKindsMatchTheirEnginesRunMany)
+{
+    const HintedGenerator gen;
+    const Query q = Query::simple("q", Metric::freq_mhz, Direction::maximize);
+    Experiment e{gen, q, tiny_config()};
+    e.add_engine({"hc", GuidanceLevel::strong, std::nullopt, std::nullopt,
+                  EngineKind::hill_climb, 30});
+    e.add_engine({"sa", GuidanceLevel::none, std::nullopt, std::nullopt, EngineKind::anneal,
+                  30});
+    const ExperimentResult r = e.run();
+
+    HintSet hints = query_hints(gen, q);
+    hints.set_confidence(guidance_confidence(GuidanceLevel::strong, 0.0));
+    HillClimbConfig hc;
+    hc.max_distinct_evals = 30;
+    hc.seed = tiny_config().ga.seed ^ 0x5eedull;
+    const MultiRunCurve direct =
+        HillClimber{gen.space(), hc, q.direction, query_eval(gen, q), hints}.run_many(6);
+    const MultiRunCurve& via = r.engines[0].curve;
+    ASSERT_EQ(via.runs(), direct.runs());
+    for (std::size_t i = 0; i < via.runs(); ++i) {
+        EXPECT_EQ(via.run(i).final_best(), direct.run(i).final_best());
+        EXPECT_EQ(via.run(i).final_evals(), direct.run(i).final_evals());
+    }
+    for (const EngineResult& er : r.engines) {
+        EXPECT_EQ(er.run_evals.size(), 6u);
+        for (std::size_t evals : er.run_evals) EXPECT_LE(evals, 30u);
+    }
 }
 
 TEST(Experiment, DatasetAndLiveEvaluationAgree)

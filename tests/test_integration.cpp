@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/hint_estimator.hpp"
+#include "core/random_search.hpp"
 #include "exp/experiment.hpp"
 #include "fft/fft_generator.hpp"
 #include "noc/router_generator.hpp"
