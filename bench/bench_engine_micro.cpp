@@ -24,6 +24,8 @@
 
 #include "core/breed.hpp"
 #include "core/ga.hpp"
+#include "core/nsga2.hpp"
+#include "core/pareto.hpp"
 #include "obs/export.hpp"
 #include "obs/log.hpp"
 #include "obs/obs.hpp"
@@ -31,6 +33,7 @@
 #include "core/nautilus.hpp"
 #include "fft/fft_generator.hpp"
 #include "fft/fft_kernel.hpp"
+#include "noc/network_generator.hpp"
 #include "noc/router_generator.hpp"
 
 using namespace nautilus;
@@ -465,8 +468,8 @@ int write_obs_bench(const std::string& path)
 // `--engine-json PATH` measures the breeding hot path on the paper-scale NoC
 // GA configuration (router space, population 10, strong guidance, roulette
 // selection -- the GaConfig defaults), plus the memo and router-model costs
-// under one wave slot, and writes the flat artifact documented
-// in EXPERIMENTS.md (`nautilus-bench-engine/3`).  `--engine-baseline FILE`
+// under one wave slot and the NSGA-II ranking costs, and writes the flat
+// artifact documented in EXPERIMENTS.md (`nautilus-bench-engine/4`).  `--engine-baseline FILE`
 // compares against a committed artifact; `--max-breed-drop PCT` turns that
 // comparison into a gate on breed throughput.
 
@@ -631,6 +634,43 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
         kModelReps);
     const double per_lookup = 1.0 / (static_cast<double>(kMemoReps) * kLayerGenomes);
 
+    // 5) NSGA-II ranking on the perfbench pareto_network objectives
+    //    (network bisection_gbps max x power_mw min) over random feasible
+    //    designs: one generation's ranking of a 32-member pool (sort plus
+    //    crowding of every front), and the final front over a 1300-point
+    //    archive, about what an 80-generation population-16 run keeps.
+    const noc::NetworkGenerator net;
+    const std::vector<Direction> net_dirs{Direction::maximize, Direction::minimize};
+    constexpr std::size_t kRankPool = 32;
+    constexpr std::size_t kArchive = 1300;
+    std::vector<ObjectivePoint> net_points;
+    Rng net_rng{13};
+    while (net_points.size() < kArchive) {
+        const auto metrics = net.evaluate(Genome::random(net.space(), net_rng));
+        if (!metrics.feasible) continue;
+        net_points.push_back({net_points.size(),
+                              {metrics.get(ip::Metric::bisection_gbps),
+                               metrics.get(ip::Metric::power_mw)}});
+    }
+    PoolRanking ranking{net_dirs};
+    std::vector<double> crowd;
+    constexpr int kRankReps = 20000;
+    const double rank_seconds = median_seconds(
+        [&] {
+            ranking.clear();
+            for (std::size_t i = 0; i < kRankPool; ++i) ranking.add(net_points[i].values);
+            ranking.non_dominated_sort();
+            for (std::size_t f = 0; f < ranking.front_count(); ++f) {
+                crowd.resize(ranking.front(f).size());
+                ranking.crowding_distance(ranking.front(f), crowd);
+            }
+            benchmark::DoNotOptimize(crowd.data());
+        },
+        kRankReps);
+    constexpr int kFrontReps = 10;
+    const double final_front_seconds = median_seconds(
+        [&] { benchmark::DoNotOptimize(pareto_front(net_points, net_dirs)); }, kFrontReps);
+
     std::ofstream out{path};
     if (!out) {
         std::fprintf(stderr, "bench_engine_micro: cannot write %s\n", path.c_str());
@@ -639,7 +679,7 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
     char buf[1024];
     std::snprintf(buf, sizeof buf,
                   "{\n"
-                  "  \"schema\": \"nautilus-bench-engine/3\",\n"
+                  "  \"schema\": \"nautilus-bench-engine/4\",\n"
                   "  \"population\": %zu,\n"
                   "  \"genes\": %zu,\n"
                   "  \"generations_per_rep\": %zu,\n"
@@ -650,13 +690,16 @@ int write_engine_bench(const std::string& path, const std::string& baseline_path
                   "  \"ga_run_dataop_seconds\": %.6f,\n"
                   "  \"memo_hit_ns\": %.1f,\n"
                   "  \"memo_miss_ns\": %.1f,\n"
-                  "  \"router_eval_us\": %.3f\n"
+                  "  \"router_eval_us\": %.3f,\n"
+                  "  \"nsga2_rank_us\": %.3f,\n"
+                  "  \"nsga2_final_front_us\": %.1f\n"
                   "}\n",
                   breed_cfg.population_size, space.size(), kGenerations, children_per_s,
                   memo_hit_rate, pairwise_seconds / kDiversityReps * 1e6,
                   incremental_seconds / kDiversityReps * 1e6, ga_seconds,
                   memo_hit_seconds * per_lookup * 1e9, memo_miss_seconds * per_lookup * 1e9,
-                  model_seconds / (static_cast<double>(kModelReps) * kLayerGenomes) * 1e6);
+                  model_seconds / (static_cast<double>(kModelReps) * kLayerGenomes) * 1e6,
+                  rank_seconds / kRankReps * 1e6, final_front_seconds / kFrontReps * 1e6);
     out << buf;
     std::printf("%s", buf);
     std::printf("bench_engine_micro: wrote %s\n", path.c_str());

@@ -26,70 +26,108 @@ void MultiObjectiveConfig::validate() const
     validate_checkpoint("MultiObjectiveConfig");
 }
 
-std::vector<std::vector<std::size_t>> non_dominated_sort(
-    std::span<const ObjectivePoint> points, std::span<const Direction> directions)
+PoolRanking::PoolRanking(std::span<const Direction> directions)
 {
-    const std::size_t n = points.size();
-    std::vector<std::vector<std::size_t>> dominated_by(n);  // i dominates these
-    std::vector<std::size_t> domination_count(n, 0);
-    std::vector<std::vector<std::size_t>> fronts;
-
-    std::vector<std::size_t> current;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            if (i == j) continue;
-            if (dominates(points[i], points[j], directions))
-                dominated_by[i].push_back(j);
-            else if (dominates(points[j], points[i], directions))
-                ++domination_count[i];
-        }
-        if (domination_count[i] == 0) current.push_back(i);
-    }
-
-    while (!current.empty()) {
-        fronts.push_back(current);
-        std::vector<std::size_t> next;
-        for (std::size_t i : current) {
-            for (std::size_t j : dominated_by[i]) {
-                if (--domination_count[j] == 0) next.push_back(j);
-            }
-        }
-        current = std::move(next);
-    }
-    return fronts;
+    for (Direction d : directions) negated_.push_back(d == Direction::maximize);
 }
 
-std::vector<double> crowding_distance(std::span<const ObjectivePoint> points,
-                                      std::span<const std::size_t> front_indices,
-                                      std::span<const Direction> directions)
+void PoolRanking::clear()
 {
-    const std::size_t m = front_indices.size();
-    std::vector<double> distance(m, 0.0);
-    if (m <= 2) {
-        std::fill(distance.begin(), distance.end(),
-                  std::numeric_limits<double>::infinity());
-        return distance;
-    }
+    rows_ = 0;
+    values_.clear();
+}
 
-    std::vector<std::size_t> order(m);
-    for (std::size_t obj = 0; obj < directions.size(); ++obj) {
-        std::iota(order.begin(), order.end(), std::size_t{0});
-        std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-            return points[front_indices[a]].values[obj] <
-                   points[front_indices[b]].values[obj];
-        });
-        const double lo = points[front_indices[order.front()]].values[obj];
-        const double hi = points[front_indices[order.back()]].values[obj];
-        distance[order.front()] = std::numeric_limits<double>::infinity();
-        distance[order.back()] = std::numeric_limits<double>::infinity();
-        if (hi <= lo) continue;  // degenerate objective: no spread
-        for (std::size_t k = 1; k + 1 < m; ++k) {
-            const double gap = points[front_indices[order[k + 1]]].values[obj] -
-                               points[front_indices[order[k - 1]]].values[obj];
-            distance[order[k]] += gap / (hi - lo);
+void PoolRanking::add(std::span<const double> values)
+{
+    // Unary minus only flips the sign bit, so `a <= b` on folded values is
+    // exactly no_worse(a, b, maximize) = `a >= b` on raw ones, for -0.0, the
+    // infinities and NaN alike; negating again restores the raw bits.
+    for (std::size_t k = 0; k < negated_.size(); ++k)
+        values_.push_back(negated_[k] ? -values[k] : values[k]);
+    ++rows_;
+}
+
+void PoolRanking::non_dominated_sort()
+{
+    const std::size_t n = rows_;
+    const std::size_t m = negated_.size();
+    dominated_.resize(n * n);
+    dominated_len_.assign(n, 0);
+    domination_count_.assign(n, 0);
+
+    // Each unordered pair once.  Row i receives its entries from rows before
+    // it (ascending) and then from the pairs (i, j > i) (ascending), so every
+    // row lists whom i dominates in ascending index order.
+    for (std::size_t i = 0; i < n; ++i) {
+        const double* a = &values_[i * m];
+        for (std::size_t j = i + 1; j < n; ++j) {
+            const double* b = &values_[j * m];
+            bool a_no_worse = true;
+            bool b_no_worse = true;
+            for (std::size_t k = 0; k < m; ++k) {
+                a_no_worse &= a[k] <= b[k];
+                b_no_worse &= b[k] <= a[k];
+            }
+            if (a_no_worse && !b_no_worse) {
+                dominated_[i * n + dominated_len_[i]++] = j;
+                ++domination_count_[j];
+            }
+            else if (b_no_worse && !a_no_worse) {
+                dominated_[j * n + dominated_len_[j]++] = i;
+                ++domination_count_[i];
+            }
         }
     }
-    return distance;
+
+    // Breadth-first peel: front f + 1 is whoever front f releases last.
+    members_.clear();
+    offsets_.assign(1, 0);
+    for (std::size_t i = 0; i < n; ++i)
+        if (domination_count_[i] == 0) members_.push_back(i);
+    for (std::size_t head = 0; head < members_.size();) {
+        const std::size_t end = members_.size();
+        offsets_.push_back(end);
+        for (std::size_t p = head; p < end; ++p) {
+            const std::size_t i = members_[p];
+            const std::size_t* row = &dominated_[i * n];
+            for (std::size_t q = 0; q < dominated_len_[i]; ++q)
+                if (--domination_count_[row[q]] == 0) members_.push_back(row[q]);
+        }
+        head = end;
+    }
+}
+
+void PoolRanking::crowding_distance(std::span<const std::size_t> front,
+                                    std::span<double> distance)
+{
+    const std::size_t m = front.size();
+    if (m <= 2) {
+        std::fill(distance.begin(), distance.end(), std::numeric_limits<double>::infinity());
+        return;
+    }
+    std::fill(distance.begin(), distance.end(), 0.0);
+
+    const std::size_t objectives = negated_.size();
+    column_.resize(m);
+    order_.resize(m);
+    for (std::size_t obj = 0; obj < objectives; ++obj) {
+        for (std::size_t k = 0; k < m; ++k) {
+            const double v = values_[front[k] * objectives + obj];
+            column_[k] = negated_[obj] ? -v : v;
+        }
+        std::iota(order_.begin(), order_.end(), std::size_t{0});
+        std::sort(order_.begin(), order_.end(),
+                  [&](std::size_t a, std::size_t b) { return column_[a] < column_[b]; });
+        const double lo = column_[order_.front()];
+        const double hi = column_[order_.back()];
+        distance[order_.front()] = std::numeric_limits<double>::infinity();
+        distance[order_.back()] = std::numeric_limits<double>::infinity();
+        if (hi <= lo) continue;  // degenerate objective: no spread
+        for (std::size_t k = 1; k + 1 < m; ++k) {
+            const double gap = column_[order_[k + 1]] - column_[order_[k - 1]];
+            distance[order_[k]] += gap / (hi - lo);
+        }
+    }
 }
 
 Nsga2Engine::Nsga2Engine(const ParameterSpace& space, MultiObjectiveConfig config,
@@ -232,13 +270,6 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
     };
     std::vector<ObjectiveValues> wave_values;
 
-    auto to_points = [&](const std::vector<Member>& pool) {
-        std::vector<ObjectivePoint> pts;
-        pts.reserve(pool.size());
-        for (std::size_t i = 0; i < pool.size(); ++i) pts.push_back({i, pool[i].values});
-        return pts;
-    };
-
     // State captured at the top of the generation loop ("about to run
     // generation `gen`"), written atomically.
     const auto write_checkpoint = [&](std::size_t gen) {
@@ -297,6 +328,18 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
     MutationStats* mut_stats_ptr = tracer.enabled() ? &mut_stats : nullptr;
     BreedContext breed_ctx{space_, hints_, config_.mutation_rate};
 
+    // Per-run ranking scratch, shared by both rankings of every generation.
+    PoolRanking ranking{directions_};
+    const auto rank_pool = [&](const std::vector<Member>& members) {
+        ranking.clear();
+        for (const Member& m : members) ranking.add(m.values);
+        ranking.non_dominated_sort();
+    };
+    std::vector<std::size_t> rank;
+    std::vector<double> crowd;
+    std::vector<double> dist;
+    std::vector<std::size_t> order;
+
     bool halted = false;
     for (std::size_t gen = start_gen; gen < config_.generations; ++gen) {
         if (scope.halts_at(gen, start_gen, write_checkpoint)) {
@@ -305,16 +348,17 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
         }
         breed_ctx.begin_generation(gen);
 
-        // Rank the current pool.
-        const auto points = to_points(population);
-        const auto fronts = non_dominated_sort(points, directions_);
-        std::vector<std::size_t> rank(population.size(), 0);
-        std::vector<double> crowd(population.size(), 0.0);
-        for (std::size_t f = 0; f < fronts.size(); ++f) {
-            const auto dist = crowding_distance(points, fronts[f], directions_);
-            for (std::size_t k = 0; k < fronts[f].size(); ++k) {
-                rank[fronts[f][k]] = f;
-                crowd[fronts[f][k]] = dist[k];
+        // Rank the current population.
+        rank_pool(population);
+        rank.assign(population.size(), 0);
+        crowd.assign(population.size(), 0.0);
+        for (std::size_t f = 0; f < ranking.front_count(); ++f) {
+            const auto front = ranking.front(f);
+            dist.resize(front.size());
+            ranking.crowding_distance(front, dist);
+            for (std::size_t k = 0; k < front.size(); ++k) {
+                rank[front[k]] = f;
+                crowd[front[k]] = dist[k];
             }
         }
 
@@ -389,8 +433,7 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
         pool.insert(pool.end(), offspring.begin(), offspring.end());
         std::vector<std::uint64_t> pool_ids = std::move(pop_ids);
         pool_ids.insert(pool_ids.end(), offspring_ids.begin(), offspring_ids.end());
-        const auto pool_points = to_points(pool);
-        const auto pool_fronts = non_dominated_sort(pool_points, directions_);
+        rank_pool(pool);
 
         population.clear();
         pop_ids.clear();
@@ -401,14 +444,16 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
                 lineage->on_survived(pool_ids[idx]);
             }
         };
-        for (const auto& front : pool_fronts) {
+        for (std::size_t f = 0; f < ranking.front_count(); ++f) {
+            const auto front = ranking.front(f);
             if (population.size() + front.size() <= config_.population_size) {
                 for (std::size_t idx : front) keep(idx);
             }
             else {
                 // Fill the remainder by descending crowding distance.
-                const auto dist = crowding_distance(pool_points, front, directions_);
-                std::vector<std::size_t> order(front.size());
+                dist.resize(front.size());
+                ranking.crowding_distance(front, dist);
+                order.resize(front.size());
                 std::iota(order.begin(), order.end(), std::size_t{0});
                 std::sort(order.begin(), order.end(),
                           [&](std::size_t a, std::size_t b) { return dist[a] > dist[b]; });
@@ -429,8 +474,9 @@ MultiObjectiveResult Nsga2Engine::run_impl(std::uint64_t seed,
                 .add("born", born)
                 .add("offspring", offspring.size())
                 .add("archive", archive.size())
-                .add("fronts", pool_fronts.size())
-                .add("front0", pool_fronts.empty() ? std::size_t{0} : pool_fronts[0].size())
+                .add("fronts", ranking.front_count())
+                .add("front0",
+                     ranking.front_count() == 0 ? std::size_t{0} : ranking.front(0).size())
                 .add("distinct_total", pipe.distinct())
                 .add("genes_mutated", std::size_t{mut_stats.genes_mutated})
                 .add("bias_draws", std::size_t{mut_stats.bias_draws})

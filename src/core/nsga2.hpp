@@ -95,15 +95,50 @@ private:
     HintSet hints_;
 };
 
-// Fast non-dominated sort: partitions `points` into fronts (rank 0 = the
-// Pareto front).  Exposed for testing.
-std::vector<std::vector<std::size_t>> non_dominated_sort(
-    std::span<const ObjectivePoint> points, std::span<const Direction> directions);
+// The ranking of one NSGA-II pool (DESIGN.md section 10).  A run owns one and
+// reuses it for both rankings of every generation, so once the buffers have
+// grown to the largest pool nothing here allocates.
+//
+// Row i of an n x M buffer holds member i's objective values, folded so that
+// smaller is better in every column (maximize objectives negated once): the
+// dominance test is a plain `<=` over two rows.
+class PoolRanking {
+public:
+    explicit PoolRanking(std::span<const Direction> directions);
 
-// Crowding distance of each member within one front (same index order as
-// `front_indices`).  Boundary points get +infinity.  Exposed for testing.
-std::vector<double> crowding_distance(std::span<const ObjectivePoint> points,
-                                      std::span<const std::size_t> front_indices,
-                                      std::span<const Direction> directions);
+    // Empty the pool, then append members in pool order.  `values` must have
+    // one entry per objective.
+    void clear();
+    void add(std::span<const double> values);
+
+    // Fast non-dominated sort (Deb et al. 2002): partitions the pool into
+    // fronts (rank 0 = the Pareto front).  Front 0 lists its members in pool
+    // order; each later front lists them in the order the breadth-first peel
+    // releases them.  A front() span is valid until the next sort.
+    void non_dominated_sort();
+    std::size_t front_count() const { return offsets_.size() - 1; }
+    std::span<const std::size_t> front(std::size_t f) const
+    {
+        return std::span<const std::size_t>{members_}.subspan(
+            offsets_[f], offsets_[f + 1] - offsets_[f]);
+    }
+
+    // Crowding distance of each member of `front` (pool indices), written to
+    // `distance` in the same order.  Boundary points get +infinity; fronts
+    // of one or two members are all +infinity.
+    void crowding_distance(std::span<const std::size_t> front, std::span<double> distance);
+
+private:
+    std::vector<bool> negated_;  // per objective: maximize, stored negated
+    std::size_t rows_ = 0;
+    std::vector<double> values_;                // rows_ x objectives, folded
+    std::vector<std::size_t> dominated_;        // rows_ x rows_: row i lists whom i dominates
+    std::vector<std::size_t> dominated_len_;    // used length of each row of dominated_
+    std::vector<std::size_t> domination_count_; // how many members dominate each one
+    std::vector<std::size_t> members_;          // every front, concatenated
+    std::vector<std::size_t> offsets_{0};       // front f is members_[offsets_[f], offsets_[f + 1])
+    std::vector<double> column_;                // crowding: one objective of the front, raw
+    std::vector<std::size_t> order_;            // crowding: front positions by column_
+};
 
 }  // namespace nautilus

@@ -147,9 +147,24 @@ std::vector<LabeledSeries> ExperimentResult::series() const
     return out;
 }
 
+namespace {
+
+// An engine label in an 18-wide column, always followed by a space so a
+// long label never runs into the number after it.
+std::ostream& label_column(std::ostream& out, const std::string& label)
+{
+    return out << std::setw(17) << std::left << label << ' ';
+}
+
+}  // namespace
+
 void ExperimentResult::print_convergence(std::ostream& out, double threshold,
                                          const std::string& threshold_label) const
 {
+    // The report sets std::fixed and precisions; the caller's stream gets
+    // its own format back at the end.
+    const std::ios_base::fmtflags flags = out.flags();
+    const std::streamsize precision = out.precision();
     out << "  convergence to " << threshold_label << " (" << direction_name(query.direction)
         << " " << ip::metric_name(query.metric) << " to "
         << threshold << " " << ip::metric_unit(query.metric) << "):\n";
@@ -158,7 +173,7 @@ void ExperimentResult::print_convergence(std::ostream& out, double threshold,
     for (std::size_t i = 0; i < engines.size(); ++i) {
         const auto conv = engines[i].curve.evals_to_reach(threshold);
         const auto crossing = engines[i].curve.mean_curve_crossing(threshold);
-        out << "    " << std::setw(18) << std::left << engines[i].spec.label;
+        label_column(out << "    ", engines[i].spec.label);
         if (conv.reached == 0) {
             out << "never reached (0/" << conv.runs << " runs)\n";
             continue;
@@ -176,15 +191,22 @@ void ExperimentResult::print_convergence(std::ostream& out, double threshold,
             baseline_crossing = *crossing;
         }
         else if (baseline_crossing && *crossing > 0.0) {
-            out << "  [" << std::setprecision(2) << *baseline_crossing / *crossing
-                << "x fewer than baseline]";
+            const double ratio = *baseline_crossing / *crossing;
+            out << "  [" << std::setprecision(2);
+            if (ratio >= 1.0) out << ratio << "x fewer than baseline]";
+            else out << 1.0 / ratio << "x more than baseline]";
         }
         out << '\n';
     }
+    out.flags(flags);
+    out.precision(precision);
 }
 
 void ExperimentResult::print(std::ostream& out) const
 {
+    // As in print_convergence, the caller's format comes back at the end.
+    const std::ios_base::fmtflags flags = out.flags();
+    const std::streamsize precision = out.precision();
     out << "== query: " << query.name << " (" << direction_name(query.direction) << " "
         << ip::metric_name(query.metric) << ", " << config.runs << " runs, pop "
         << config.ga.population_size << ", " << config.ga.generations << " generations)\n";
@@ -194,7 +216,7 @@ void ExperimentResult::print(std::ostream& out) const
                        shared_grid(), s);
     print_ascii_chart(out, query.name, s);
     for (const auto& e : engines) {
-        out << "  " << std::setw(18) << std::left << e.spec.label << "final best (mean over runs): "
+        label_column(out << "  ", e.spec.label) << "final best (mean over runs): "
             << std::fixed << std::setprecision(3) << e.curve.mean_final_best() << " "
             << ip::metric_unit(query.metric) << '\n';
     }
@@ -202,11 +224,13 @@ void ExperimentResult::print(std::ostream& out) const
         << (config.ga.eval_workers == 1 ? "" : "s") << "):\n";
     for (const auto& e : engines) {
         const EvalSummary& s = e.eval;
-        out << "    " << std::setw(18) << std::left << e.spec.label << std::fixed
+        label_column(out << "    ", e.spec.label) << std::fixed
             << std::setprecision(3) << s.eval_seconds << " s eval wall-clock, "
             << s.distinct_evals << " distinct / " << s.total_calls << " calls ("
             << std::setprecision(1) << s.cache_hit_rate() * 100.0 << "% cache hits)\n";
     }
+    out.flags(flags);
+    out.precision(precision);
 }
 
 }  // namespace nautilus::exp

@@ -5,6 +5,7 @@
 #include "core/local_search.hpp"
 
 #include <cmath>
+#include <iomanip>
 #include <sstream>
 
 namespace nautilus::exp {
@@ -270,6 +271,60 @@ TEST(ExperimentResult, PrintProducesReadableReport)
     std::ostringstream conv;
     r.print_convergence(conv, 200.0, "test threshold");
     EXPECT_NE(conv.str().find("test threshold"), std::string::npos);
+}
+
+// A result with hand-made curves: every engine is one run that reaches 300 MHz
+// after `designs` evaluations.  Engine 0 is the baseline.
+ExperimentResult reached_at(const std::vector<std::pair<std::string, double>>& engines)
+{
+    ExperimentResult r{Query::simple("q", Metric::freq_mhz, Direction::maximize),
+                       ExperimentConfig{}, {}};
+    for (const auto& [label, designs] : engines) {
+        Curve run{Direction::maximize};
+        run.append(10.0, 100.0);
+        run.append(designs, 300.0);
+        MultiRunCurve curve{Direction::maximize};
+        curve.add_run(run);
+        r.engines.emplace_back(EngineSpec{label, GuidanceLevel::none, std::nullopt, std::nullopt},
+                               curve);
+    }
+    return r;
+}
+
+TEST(ExperimentResult, ConvergenceSeparatesLongLabelsAndSaysMoreWhenSlower)
+{
+    const std::string long_label = "simulated-annealing+hint";  // 24 characters
+    ASSERT_EQ(long_label.size(), 24u);
+    const ExperimentResult r =
+        reached_at({{"baseline", 100.0}, {long_label, 250.0}, {"fast", 50.0}});
+    std::ostringstream out;
+    r.print_convergence(out, 200.0, "test threshold");
+    const std::string text = out.str();
+
+    const auto line_of = [&](const std::string& label) {
+        const auto at = text.find("    " + label);
+        EXPECT_NE(at, std::string::npos) << text;
+        return text.substr(at, text.find('\n', at) - at);
+    };
+    const std::string slow = line_of(long_label);
+    EXPECT_EQ(slow.substr(4 + long_label.size(), 1), " ") << slow;
+    EXPECT_NE(slow.find("[2.50x more than baseline]"), std::string::npos) << slow;
+    EXPECT_EQ(slow.find("fewer"), std::string::npos) << slow;
+    EXPECT_NE(line_of("fast").find("[2.00x fewer than baseline]"), std::string::npos);
+}
+
+TEST(ExperimentResult, ReportsLeaveTheCallersStreamFormatAlone)
+{
+    const ExperimentResult r = reached_at({{"baseline", 100.0}, {"guided", 50.0}});
+    std::ostringstream out;
+    out << std::scientific << std::setprecision(9);
+    const std::ios_base::fmtflags flags = out.flags();
+    r.print(out);
+    EXPECT_EQ(out.flags(), flags);
+    EXPECT_EQ(out.precision(), 9);
+    r.print_convergence(out, 200.0, "test threshold");
+    EXPECT_EQ(out.flags(), flags);
+    EXPECT_EQ(out.precision(), 9);
 }
 
 TEST(Series, ValueAtStepInterpolation)

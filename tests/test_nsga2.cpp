@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
+
+#include "core/rng.hpp"
+#include "pareto_reference.hpp"
 
 namespace nautilus {
 namespace {
@@ -13,6 +19,36 @@ const std::vector<Direction> min_max{Direction::minimize, Direction::maximize};
 ObjectivePoint pt(double a, double b, std::size_t tag = 0)
 {
     return ObjectivePoint{tag, {a, b}};
+}
+
+PoolRanking ranked(std::span<const ObjectivePoint> points, std::span<const Direction> dirs)
+{
+    PoolRanking ranking{dirs};
+    for (const ObjectivePoint& p : points) ranking.add(p.values);
+    ranking.non_dominated_sort();
+    return ranking;
+}
+
+// The flat ranking's fronts and crowding distances in the shape the tests
+// below (and the reference) use.
+std::vector<std::vector<std::size_t>> non_dominated_sort(
+    std::span<const ObjectivePoint> points, std::span<const Direction> dirs)
+{
+    const PoolRanking ranking = ranked(points, dirs);
+    std::vector<std::vector<std::size_t>> fronts;
+    for (std::size_t f = 0; f < ranking.front_count(); ++f)
+        fronts.emplace_back(ranking.front(f).begin(), ranking.front(f).end());
+    return fronts;
+}
+
+std::vector<double> crowding_distance(std::span<const ObjectivePoint> points,
+                                      std::span<const std::size_t> front,
+                                      std::span<const Direction> dirs)
+{
+    PoolRanking ranking = ranked(points, dirs);
+    std::vector<double> distance(front.size());
+    ranking.crowding_distance(front, distance);
+    return distance;
 }
 
 // ---- non_dominated_sort ------------------------------------------------------
@@ -81,6 +117,55 @@ TEST(CrowdingDistance, TinyFrontsAllInfinite)
     const std::vector<ObjectivePoint> points{pt(1, 1), pt(2, 2)};
     const std::vector<std::size_t> front{0, 1};
     for (double d : crowding_distance(points, front, min_min)) EXPECT_TRUE(std::isinf(d));
+}
+
+// ---- PoolRanking vs the reference ranking -------------------------------------
+
+// Random pools against tests/pareto_reference: the same fronts in the same
+// breadth-first order, and crowding distances equal bit for bit.  Values come
+// from a small grid with both zeros and both infinities, so ties, duplicates
+// and inf - inf gaps are common.  One PoolRanking serves every pool with the
+// same directions, as one serves every generation of a run, so stale rows,
+// counts and fronts of a larger earlier pool must not leak into a later one.
+TEST(Nsga2Ranking, MatchesReferenceOnRandomPools)
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    const double grid[] = {-1.0, 0.0, 0.5, 1.0, 2.5, inf, -inf, -0.0};
+    constexpr int kPools = 12000;
+    Rng rng{25};
+    std::map<std::vector<Direction>, PoolRanking> rankings;
+    std::size_t multi_front_pools = 0;
+    for (int trial = 0; trial < kPools; ++trial) {
+        const std::size_t objectives = 1 + rng.index(3);
+        std::vector<Direction> dirs;
+        for (std::size_t k = 0; k < objectives; ++k)
+            dirs.push_back(rng.index(2) == 0 ? Direction::minimize : Direction::maximize);
+        std::vector<ObjectivePoint> points(rng.index(65));
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            points[i].tag = i;
+            for (std::size_t k = 0; k < objectives; ++k)
+                points[i].values.push_back(grid[rng.index(std::size(grid))]);
+        }
+
+        const auto expected = reference::non_dominated_sort(points, dirs);
+        PoolRanking& ranking = rankings.try_emplace(dirs, dirs).first->second;
+        ranking.clear();
+        for (const ObjectivePoint& p : points) ranking.add(p.values);
+        ranking.non_dominated_sort();
+        ASSERT_EQ(ranking.front_count(), expected.size()) << "pool " << trial;
+        if (expected.size() > 1) ++multi_front_pools;
+        for (std::size_t f = 0; f < expected.size(); ++f) {
+            const auto front = ranking.front(f);
+            ASSERT_EQ(std::vector<std::size_t>(front.begin(), front.end()), expected[f])
+                << "pool " << trial << ", front " << f;
+            const auto want = reference::crowding_distance(points, expected[f], dirs);
+            std::vector<double> got(front.size());
+            ranking.crowding_distance(front, got);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(double)), 0)
+                << "pool " << trial << ", front " << f;
+        }
+    }
+    EXPECT_GT(multi_front_pools, std::size_t{kPools / 2});
 }
 
 // ---- Nsga2Engine ---------------------------------------------------------------
