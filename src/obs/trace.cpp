@@ -13,27 +13,6 @@ namespace nautilus::obs {
 
 namespace {
 
-void append_value(std::string& out, const FieldValue& value)
-{
-    switch (value.index()) {
-    case 0: out += std::get<bool>(value) ? "true" : "false"; break;
-    case 1: out += std::to_string(std::get<std::int64_t>(value)); break;
-    case 2: out += std::to_string(std::get<std::uint64_t>(value)); break;
-    case 3: append_json_double(out, std::get<double>(value)); break;
-    case 4: json::append_string(out, std::get<std::string>(value)); break;
-    case 5: {
-        const auto& vec = std::get<std::vector<double>>(value);
-        out += '[';
-        for (std::size_t i = 0; i < vec.size(); ++i) {
-            if (i > 0) out += ',';
-            append_json_double(out, vec[i]);
-        }
-        out += ']';
-        break;
-    }
-    }
-}
-
 // A number token keeps its written kind: a '.' or exponent means double, a
 // leading '-' means int64, anything else uint64.  The whole token must
 // convert ("12-3" and "1e5e5" do not).  Doubles may underflow into the
@@ -115,6 +94,27 @@ std::optional<std::string> TraceEvent::string(std::string_view key) const
     return std::nullopt;
 }
 
+void append_field_value(std::string& out, const FieldValue& value)
+{
+    switch (value.index()) {
+    case 0: out += std::get<bool>(value) ? "true" : "false"; break;
+    case 1: out += std::to_string(std::get<std::int64_t>(value)); break;
+    case 2: out += std::to_string(std::get<std::uint64_t>(value)); break;
+    case 3: append_json_double(out, std::get<double>(value)); break;
+    case 4: json::append_string(out, std::get<std::string>(value)); break;
+    case 5: {
+        const auto& vec = std::get<std::vector<double>>(value);
+        out += '[';
+        for (std::size_t i = 0; i < vec.size(); ++i) {
+            if (i > 0) out += ',';
+            append_json_double(out, vec[i]);
+        }
+        out += ']';
+        break;
+    }
+    }
+}
+
 std::string to_jsonl(const TraceEvent& event)
 {
     std::string out;
@@ -127,7 +127,7 @@ std::string to_jsonl(const TraceEvent& event)
         out += ',';
         json::append_string(out, key);
         out += ':';
-        append_value(out, value);
+        append_field_value(out, value);
     }
     out += '}';
     return out;

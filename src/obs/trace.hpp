@@ -69,6 +69,9 @@ struct TraceEvent {
     std::optional<std::string> string(std::string_view key) const;
 };
 
+// One field value as to_jsonl writes it.
+void append_field_value(std::string& out, const FieldValue& value);
+
 // One JSON object on one line, no trailing newline.
 std::string to_jsonl(const TraceEvent& event);
 

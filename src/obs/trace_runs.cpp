@@ -79,6 +79,37 @@ void fold_birth(const TraceEvent& ev, std::size_t line, RunWindow& run,
     run.births.push_back(std::move(rec));
 }
 
+// Whether k_diff_skips leaves out this field name, or with `event` this
+// event type.
+bool skipped(std::string_view name, bool event)
+{
+    return std::ranges::any_of(k_diff_skips, [&](const DiffSkip& skip) {
+        return skip.event == event && skip.name == name;
+    });
+}
+
+// Indices of the events that take part in a comparison.
+std::vector<std::size_t> compared_events(const TraceFile& file)
+{
+    std::vector<std::size_t> kept;
+    for (std::size_t k = 0; k < file.events.size(); ++k)
+        if (!skipped(file.events[k].type, true)) kept.push_back(k);
+    return kept;
+}
+
+// The fields of `ev` that take part, each with its value as written.
+std::vector<std::pair<std::string_view, std::string>> compared_fields(const TraceEvent& ev)
+{
+    std::vector<std::pair<std::string_view, std::string>> kept;
+    for (const auto& [key, value] : ev.fields) {
+        if (skipped(key, false)) continue;
+        std::string text;
+        append_field_value(text, value);
+        kept.emplace_back(key, std::move(text));
+    }
+    return kept;
+}
+
 }  // namespace
 
 TraceFile load_trace(const std::string& path)
@@ -181,7 +212,6 @@ TraceRuns fold_runs(const TraceFile& file)
         else if (ev.type == "run_end") {
             run->closed = true;
             run->distinct_evals = u("distinct_evals");
-            run->total_calls = u("total_calls");
             run->attempts = u("attempts");
             run->retries = u("retries");
             run->store_hits = u("store_hits");
@@ -308,6 +338,43 @@ std::vector<Diagnostic> check_runs(const TraceRuns& trace, bool require_run_end)
                            births.children + births.elites, 0);
     }
     return out;
+}
+
+std::optional<Diagnostic> compare_traces(const TraceFile& base, const TraceFile& cand)
+{
+    const std::vector<std::size_t> b = compared_events(base);
+    const std::vector<std::size_t> c = compared_events(cand);
+    const std::size_t common = std::min(b.size(), c.size());
+    for (std::size_t i = 0; i < common; ++i) {
+        const TraceEvent& x = base.events[b[i]];
+        const TraceEvent& y = cand.events[c[i]];
+        const auto differ = [&](const std::string& what) {
+            return Diagnostic{base.lines[b[i]],
+                              strprintf("base line %zu vs candidate line %zu: %s",
+                                        base.lines[b[i]], cand.lines[c[i]], what.c_str())};
+        };
+        if (x.type != y.type) return differ("event type '" + x.type + "' vs '" + y.type + "'");
+        const auto fx = compared_fields(x);
+        const auto fy = compared_fields(y);
+        for (std::size_t j = 0; j < std::max(fx.size(), fy.size()); ++j) {
+            const auto name = [j](const auto& fields) {
+                return j < fields.size() ? fields[j].first : std::string_view{"(none)"};
+            };
+            if (name(fx) == name(fy) && fx[j].second == fy[j].second) continue;
+            const std::string field = x.type + " field '" + std::string{name(fx)} + "'";
+            if (name(fx) != name(fy))
+                return differ(field + " vs '" + std::string{name(fy)} + "'");
+            return differ(field + ": " + fx[j].second + " vs " + fy[j].second);
+        }
+    }
+    if (b.size() == c.size()) return std::nullopt;
+    const bool base_longer = b.size() > c.size();
+    const TraceFile& file = base_longer ? base : cand;
+    const std::size_t k = (base_longer ? b : c)[common];
+    return Diagnostic{file.lines[k],
+                      strprintf("%s line %zu: extra '%s' event (%zu vs %zu compared events)",
+                                base_longer ? "base" : "candidate", file.lines[k],
+                                file.events[k].type.c_str(), b.size(), c.size())};
 }
 
 }  // namespace nautilus::obs

@@ -1,9 +1,10 @@
 #pragma once
 // Reading JSONL traces back: one loader, one fold of the events into
-// run_start..run_end windows, and the accounting invariants checked over
-// those windows.  `nautilus_trace` (inspect, diff, lineage) and the tests
-// all read traces through this module, so they agree on what a trace says
-// and on when it is broken.
+// run_start..run_end windows, the accounting invariants checked over those
+// windows, and the one comparison of two traces.  `nautilus_trace`
+// (inspect, diff, lineage) and the tests all read traces through this
+// module, so they agree on what a trace says, on when it is broken and on
+// when two traces say the same thing.
 //
 // The invariants (check_runs) are the fault-tolerance accounting of
 // DESIGN.md section 8, the lineage conservation of section 11 and the
@@ -27,6 +28,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/lineage.hpp"
@@ -89,7 +91,6 @@ struct RunWindow {
     // From run_end; `closed` stays false when the trace stops mid-run.
     bool closed = false;
     std::uint64_t distinct_evals = 0;
-    std::uint64_t total_calls = 0;
     std::uint64_t attempts = 0;
     std::uint64_t retries = 0;
     std::uint64_t store_hits = 0;  // 0 when no store was attached
@@ -142,5 +143,33 @@ TraceRuns fold_runs(const TraceFile& file);
 // without run_end is a finding when `require_run_end`, and skipped
 // otherwise.  Empty when the trace is consistent.
 std::vector<Diagnostic> check_runs(const TraceRuns& trace, bool require_run_end = true);
+
+// What does not take part in comparing two traces of the same seeded
+// search: readings of how fast or where a value was computed, never of
+// what it is.  That is wall clock, the environment (worker count, output
+// paths, the server's job and request ids), store state (a warm store
+// answers what a cold run computed, eliding its evaluation attempts) and
+// the thread schedule (in-flight dedup waits).  Each entry is a field
+// name skipped in every event, except the one marked `event`, an event
+// type dropped from both sides.  The timestamp `t` never takes part.
+struct DiffSkip {
+    std::string_view name;
+    bool event = false;
+};
+inline constexpr DiffSkip k_diff_skips[] = {
+    {"seconds"}, {"busy_seconds"}, {"eval_seconds"},        // wall clock
+    {"workers"}, {"path"}, {"job_id"}, {"request_id"},      // environment
+    {"store_hits"}, {"store_misses"}, {"attempts"},         // store state
+    {"waits"}, {"inflight_waits"},                          // thread schedule
+    {"job_summary", true},  // server-only epilogue; check_runs reconciles it
+};
+
+// Compares two traces event by event, in order, leaving out k_diff_skips:
+// the event type first, then every remaining field in order, values as
+// written to the trace.  Returns the first difference, or nullopt when the
+// traces agree.  Its text names both lines, the event type, the field and
+// both values; `line` is the base's line, or the candidate's when only the
+// candidate has the event.
+std::optional<Diagnostic> compare_traces(const TraceFile& base, const TraceFile& cand);
 
 }  // namespace nautilus::obs

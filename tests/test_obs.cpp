@@ -433,6 +433,44 @@ TEST(ObsTraceRuns, FoldsAndChecksAGaTrace)
     std::remove(cut.c_str());
 }
 
+// The one trace comparison: fields in the skip list and the server-only
+// job_summary event never take part; a changed kept field and an extra
+// trailing event each fail, the first difference named by its lines,
+// event type and field.
+TEST(ObsTraceRuns, ComparesEveryEventBeyondTheSkipList)
+{
+    const auto wave = [](std::uint64_t fresh, double seconds) {
+        TraceEvent ev{"eval_wave"};
+        ev.add("fresh", FieldValue{fresh}).add("seconds", FieldValue{seconds});
+        return ev;
+    };
+    const auto trace = [](std::vector<TraceEvent> events) {
+        obs::TraceFile file;
+        for (TraceEvent& ev : events) {
+            file.events.push_back(std::move(ev));
+            file.lines.push_back(file.events.size());
+        }
+        return file;
+    };
+    TraceEvent summary{"job_summary"};
+    summary.add("fresh_evals", std::size_t{8});
+    const obs::TraceFile base = trace({wave(5, 0.5), wave(3, 0.25)});
+
+    EXPECT_FALSE(obs::compare_traces(base, trace({wave(5, 9.0), wave(3, 0.1)})));
+    EXPECT_FALSE(obs::compare_traces(base, trace({wave(5, 0.5), wave(3, 0.25), summary})));
+
+    const auto changed = obs::compare_traces(base, trace({wave(6, 0.5), wave(4, 0.25)}));
+    ASSERT_TRUE(changed.has_value());
+    EXPECT_EQ(changed->line, 1u);
+    EXPECT_EQ(changed->text, "base line 1 vs candidate line 1: eval_wave field 'fresh': 5 vs 6");
+
+    const auto extra =
+        obs::compare_traces(base, trace({wave(5, 0.5), wave(3, 0.25), wave(1, 0.1)}));
+    ASSERT_TRUE(extra.has_value());
+    EXPECT_EQ(extra->line, 3u);
+    EXPECT_EQ(extra->text, "candidate line 3: extra 'eval_wave' event (2 vs 3 compared events)");
+}
+
 TEST(ObsGaIntegration, BreedEventsClassifyGuidedDraws)
 {
     const ParameterSpace space = toy_space();

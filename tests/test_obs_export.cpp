@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/ga.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
@@ -216,6 +219,42 @@ TEST(ObsChrome, TimestampsAreClampedAndSorted)
     EXPECT_LT(warmup, run_end);  // sorted by ts despite input order
     EXPECT_NE(json.find("\"ts\":0.000"), std::string::npos);
     EXPECT_EQ(json.find("\"ts\":-"), std::string::npos);
+}
+
+// The same ordering on a recorded GA run: every exported event starts at
+// ts >= 0, starts never go backwards, and no duration is negative.
+TEST(ObsChrome, RecordedGaRunHasOrderedNonNegativeTimes)
+{
+    using namespace nautilus;
+    ParameterSpace space;
+    for (int i = 0; i < 4; ++i) space.add("p" + std::to_string(i), ParamDomain::int_range(0, 7));
+    const auto sum = [](const Genome& g) {
+        double v = 0.0;
+        for (std::size_t i = 0; i < g.size(); ++i) v += g.gene(i);
+        return Evaluation{true, v};
+    };
+    auto sink = std::make_shared<MemorySink>();
+    GaConfig cfg;
+    cfg.generations = 8;
+    cfg.eval_workers = 2;
+    cfg.obs = Instrumentation::with_sink(sink);
+    (void)GaEngine{space, cfg, Direction::maximize, sum, HintSet::none(space)}.run();
+
+    std::istringstream json{chrome_trace_json(sink->events())};
+    std::size_t events = 0;
+    double last = 0.0;
+    for (std::string line; std::getline(json, line);) {
+        const std::string head = line.substr(0, line.find(",\"args\":"));
+        const std::size_t ts = head.find(",\"ts\":");
+        ASSERT_NE(ts, std::string::npos) << line;
+        const double start = std::stod(head.substr(ts + 6));
+        EXPECT_GE(start, last) << line;
+        last = start;
+        if (const std::size_t dur = head.find(",\"dur\":"); dur != std::string::npos)
+            EXPECT_GE(std::stod(head.substr(dur + 7)), 0.0) << line;
+        ++events;
+    }
+    EXPECT_GT(events, sink->size());  // generations add counter tracks
 }
 
 TEST(ObsChrome, GenerationsBecomeCounterTracks)

@@ -19,7 +19,6 @@
 #include <fstream>
 #include <optional>
 #include <ostream>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,48 +61,6 @@ void expect_trace_consistent(const std::string& path)
 {
     for (const obs::Diagnostic& d : obs::check_runs(obs::fold_runs(obs::load_trace(path))))
         ADD_FAILURE() << path << ":" << d.line << ": " << d.text;
-}
-
-// The deterministic-family comparison, matching `nautilus_trace diff`'s
-// contract: every event and every field must agree exactly except
-// wall-clock readings, scheduling artifacts (waits) and store traffic (a
-// shared warm store changes where values come from, never what they are).
-void expect_traces_equal(const std::string& base_path, const std::string& cand_path)
-{
-    // "attempts" counts evaluation-function invocations, which a store hit
-    // elides -- like store_hits it describes where values came from, not
-    // what they are (the repo's attempt-accounting identity is
-    // attempts + store_hits == fresh + retries).  "job_id"/"request_id" are
-    // the server's telemetry identity tags on run_start: pure labels, absent
-    // from standalone traces by construction.
-    static const std::set<std::string> skip{
-        "seconds",        "busy_seconds", "eval_seconds", "path",
-        "waits",          "inflight_waits", "store_hits", "store_misses",
-        "attempts",       "job_id",       "request_id",
-    };
-    const auto filter = [](const obs::TraceEvent& ev) {
-        std::vector<std::pair<std::string, obs::FieldValue>> kept;
-        for (const auto& [key, value] : ev.fields)
-            if (skip.count(key) == 0) kept.push_back({key, value});
-        return kept;
-    };
-    // job_summary is the server-only accounting epilogue (wall-clock and
-    // store-traffic dominated); the search content it must agree with is
-    // already covered by run_end.
-    const auto strip_summaries = [](std::vector<obs::TraceEvent> events) {
-        std::vector<obs::TraceEvent> kept;
-        for (auto& ev : events)
-            if (ev.type != "job_summary") kept.push_back(std::move(ev));
-        return kept;
-    };
-    const auto base = strip_summaries(trace_events(base_path));
-    const auto cand = strip_summaries(trace_events(cand_path));
-    ASSERT_EQ(base.size(), cand.size());
-    for (std::size_t i = 0; i < base.size(); ++i) {
-        EXPECT_EQ(base[i].type, cand[i].type) << "event " << i;
-        EXPECT_EQ(filter(base[i]), filter(cand[i]))
-            << "event " << i << " (" << base[i].type << ")";
-    }
 }
 
 std::string expect_invalid(const std::string& json)
@@ -443,7 +400,7 @@ TEST(JobScheduler, FifoAdmissionPreventsStarvation)
 // ---------------------------------------------------------- determinism gate
 
 // The headline guarantee: a spec run through the server under concurrent
-// sibling load produces a trace in exact deterministic-family agreement with
+// sibling load produces a trace equal, event for event, to that of
 // the same spec run standalone -- at worker caps 1 and 4, for both the GA
 // and NSGA-II, with all server jobs sharing one EvalStore.
 // One (engine, worker cap) case.  It prints as its case name rather than
@@ -511,7 +468,12 @@ TEST_P(ServerDeterminism, ServerJobTraceMatchesStandaloneRun)
         ASSERT_EQ(scheduler.state(job.id), JobState::done);
     }
 
-    expect_traces_equal(ref.trace_path, scheduler.trace_path_for(target.id));
+    // The comparison `nautilus_trace diff` makes: every event and field
+    // but wall clock, environment, store state and the server-only
+    // job_summary epilogue.
+    if (const auto d = obs::compare_traces(obs::load_trace(ref.trace_path),
+                                           obs::load_trace(scheduler.trace_path_for(target.id))))
+        ADD_FAILURE() << d->text;
     expect_trace_consistent(ref.trace_path);
     expect_trace_consistent(scheduler.trace_path_for(target.id));
 }

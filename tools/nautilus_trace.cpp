@@ -12,32 +12,24 @@
 //     job_summary reconciliation).  --chrome also converts the trace to the
 //     Chrome trace-event JSON array format; load it at ui.perfetto.dev.
 //
-//   nautilus_trace diff BASE.jsonl CAND.jsonl [options]
-//     Compares two traces of the same workload and gates on regressions:
-//     run the same seeded search before and after a change, diff the
-//     traces, and fail when the candidate drifts past the thresholds.  A
+//   nautilus_trace diff BASE.jsonl CAND.jsonl [--store-check]
+//                       [--min-store-hit-rate PCT]
+//     Checks that two traces of the same seeded workload say the same
+//     thing: run the search before and after a change, diff the traces.  A
 //     trace with an unparseable or misplaced line, or a run without a
-//     run_end, fails outright.
-//     Deterministic (on by default, zero tolerance): run count and engines,
-//     per-run distinct evaluations, total calls, cache hits, retries and the
-//     final best value.  Identical-seed runs of a deterministic engine must
-//     match bit-for-bit (the repo's determinism contract), so any delta is a
-//     real behavioural regression, not noise.
-//       --allow-best-delta X      tolerate |best_base - best_cand| <= X
-//       --allow-count-delta N     tolerate counter deltas up to N
-//       --no-counters             skip the deterministic family entirely
-//     Timing (off by default; wall-clock is machine-dependent, so these
-//     only gate when enabled with a nonzero percentage):
-//       --max-throughput-drop P   fail when candidate distinct-evals/s is
-//                                 more than P percent below the baseline
-//       --max-phase-slowdown P    fail when any span phase (ga.run,
-//                                 ga.breed, ...) taking >= 10 ms in the
-//                                 baseline is more than P percent slower
-//     Store check (off by default): the candidate is a warm re-run of the
-//     baseline against a persistent evaluation store; besides the
-//     deterministic gates, the store must have absorbed the work:
-//       --store-check             fail unless the candidate served at least
-//                                 --min-store-hit-rate percent of its
+//     run_end, fails outright.  Otherwise obs::compare_traces must find the
+//     traces equal event for event, in order: the type, then every field
+//     and its value as written, except what obs::k_diff_skips leaves out
+//     (wall-clock, environment, store-state and schedule fields, and the
+//     server-only job_summary event; timestamps never take part).  The
+//     first difference is reported with both line numbers, the event type,
+//     the field and both values.  Identical-seed runs must match bit for
+//     bit (the repo's determinism contract), so any difference is a real
+//     behavioural change, not noise.
+//       --store-check             the candidate is a warm re-run of the
+//                                 baseline against a persistent evaluation
+//                                 store: also fail unless it served at
+//                                 least --min-store-hit-rate percent of its
 //                                 evaluations from the store (default 99)
 //       --min-store-hit-rate P    override the hit-rate floor
 //
@@ -57,7 +49,6 @@
 // 2 bad usage.
 
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -287,50 +278,21 @@ int inspect(Args args)
 
 // -- diff --------------------------------------------------------------------
 
-std::uint64_t distinct(const TraceRuns& trace)
-{
-    std::uint64_t n = 0;
-    for (const RunWindow& run : trace.runs) n += run.charged();
-    return n;
-}
-
-double eval_seconds(const TraceRuns& trace)
-{
-    double s = 0.0;
-    for (const RunWindow& run : trace.runs) s += run.wave_seconds;
-    return s;
-}
-
-// Distinct (fresh) evaluations per second of evaluation wall-clock.
-double throughput(const TraceRuns& trace)
-{
-    const double s = eval_seconds(trace);
-    return s > 0.0 ? static_cast<double>(distinct(trace)) / s : 0.0;
-}
-
 int diff(Args args)
 {
-    double allow_best_delta = 0.0;
-    std::uint64_t allow_count_delta = 0;
-    bool counters = true;
-    double max_throughput_drop = 0.0;  // percent; 0 = timing gate disabled
-    double max_phase_slowdown = 0.0;   // percent; 0 = timing gate disabled
     bool store_check = false;
     double min_store_hit_rate = 99.0;  // percent, only gates with --store-check
     const std::vector<std::string> paths = args.parse([&](const std::string& arg) {
-        if (arg == "--allow-best-delta") allow_best_delta = args.number();
-        else if (arg == "--allow-count-delta") allow_count_delta = args.count();
-        else if (arg == "--no-counters") counters = false;
-        else if (arg == "--max-throughput-drop") max_throughput_drop = args.number();
-        else if (arg == "--max-phase-slowdown") max_phase_slowdown = args.number();
-        else if (arg == "--store-check") store_check = true;
+        if (arg == "--store-check") store_check = true;
         else if (arg == "--min-store-hit-rate") min_store_hit_rate = args.number();
         else return false;
         return true;
     });
     if (paths.size() != 2) args.usage();
-    const TraceRuns base = fold_runs(load_trace(paths[0]));
-    const TraceRuns cand = fold_runs(load_trace(paths[1]));
+    const TraceFile base_file = load_trace(paths[0]);
+    const TraceFile cand_file = load_trace(paths[1]);
+    const TraceRuns base = fold_runs(base_file);
+    const TraceRuns cand = fold_runs(cand_file);
 
     std::size_t failures = 0;
     const auto fail = [&](const char* fmt, auto... values) {
@@ -360,63 +322,12 @@ int diff(Args args)
     }
     if (failures > 0) return verdict();
 
-    std::printf("%s: %s (base) vs %s (candidate)\n", args.tool(), paths[0].c_str(),
-                paths[1].c_str());
-    std::printf("  %-26s %14s %14s\n", "", "base", "candidate");
-    std::printf("  %-26s %14zu %14zu\n", "events", base.nonblank_lines, cand.nonblank_lines);
-    std::printf("  %-26s %14zu %14zu\n", "runs", base.runs.size(), cand.runs.size());
-    std::printf("  %-26s %14" PRIu64 " %14" PRIu64 "\n", "distinct evals", distinct(base),
-                distinct(cand));
-    std::printf("  %-26s %14.4f %14.4f\n", "eval seconds", eval_seconds(base),
-                eval_seconds(cand));
-    std::printf("  %-26s %14.1f %14.1f\n", "evals/s", throughput(base), throughput(cand));
-
-    if (counters) {
-        if (base.runs.size() != cand.runs.size())
-            fail("run count: base %zu, candidate %zu", base.runs.size(), cand.runs.size());
-        const auto check_count = [&](const char* what, std::size_t run, std::uint64_t b,
-                                     std::uint64_t c) {
-            if ((b > c ? b - c : c - b) > allow_count_delta)
-                fail("run %zu %s: base %" PRIu64 ", candidate %" PRIu64, run, what, b, c);
-        };
-        const std::size_t n = std::min(base.runs.size(), cand.runs.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            const RunWindow& b = base.runs[i];
-            const RunWindow& c = cand.runs[i];
-            if (b.engine != c.engine)
-                fail("run %zu engine: base '%s', candidate '%s'", i, b.engine.c_str(),
-                     c.engine.c_str());
-            check_count("distinct evals", i, b.charged(), c.charged());
-            check_count("total calls", i, b.total_calls, c.total_calls);
-            check_count("cache hits", i, b.hits, c.hits);
-            check_count("retries", i, b.retries, c.retries);
-            if (b.best.has_value() != c.best.has_value())
-                fail("run %zu feasibility: base %s, candidate %s", i,
-                     b.best ? "feasible" : "infeasible", c.best ? "feasible" : "infeasible");
-            else if (b.best && std::abs(*b.best - *c.best) > allow_best_delta)
-                fail("run %zu best: base %.6f, candidate %.6f (delta %.6g > %.6g)", i, *b.best,
-                     *c.best, std::abs(*b.best - *c.best), allow_best_delta);
-        }
-    }
-
-    if (max_throughput_drop > 0.0 && throughput(base) > 0.0) {
-        const double floor = throughput(base) * (1.0 - max_throughput_drop / 100.0);
-        if (throughput(cand) < floor)
-            fail("throughput: candidate %.1f evals/s < %.1f (base %.1f - %.1f%%)",
-                 throughput(cand), floor, throughput(base), max_throughput_drop);
-    }
-    if (max_phase_slowdown > 0.0) {
-        for (const auto& [name, b_span] : base.spans) {
-            if (b_span.seconds < 0.010) continue;  // below timing noise
-            const auto it = cand.spans.find(name);
-            if (it == cand.spans.end()) continue;
-            const double cap = b_span.seconds * (1.0 + max_phase_slowdown / 100.0);
-            if (it->second.seconds > cap)
-                fail("phase %s: candidate %.4f s > %.4f s (base %.4f s + %.1f%%)",
-                     name.c_str(), it->second.seconds, cap, b_span.seconds,
-                     max_phase_slowdown);
-        }
-    }
+    std::printf("%s: %s (base, %zu events) vs %s (candidate, %zu events)\n", args.tool(),
+                paths[0].c_str(), base_file.events.size(), paths[1].c_str(),
+                cand_file.events.size());
+    std::fflush(stdout);  // before any FAIL line on stderr
+    if (const std::optional<Diagnostic> d = compare_traces(base_file, cand_file))
+        fail("%s", d->text.c_str());
 
     if (store_check) {
         std::uint64_t hits = 0;
@@ -638,13 +549,24 @@ int main(int argc, char** argv)
                                 "  --chrome OUT     also write Chrome trace-event JSON"
                                 " (ui.perfetto.dev)\n"
                                 "  -h, --help       show this help\n"});
-        if (sub == "diff")
+        if (sub == "diff") {
+            std::string options = "  Traces must match event for event, in order, in every field"
+                                  " but these:";
+            for (std::size_t i = 0; i < std::size(k_diff_skips); ++i) {
+                const DiffSkip& skip = k_diff_skips[i];
+                options += (i % 6 == 0 ? "\n    " : " ") + std::string{skip.name};
+                if (skip.event) options += " (event)";
+            }
+            options += "\n"
+                       "  --store-check           also require the candidate to serve its"
+                       " evaluations\n"
+                       "                          from the persistent store\n"
+                       "  --min-store-hit-rate P  store-check floor in percent (default 99)\n"
+                       "  -h, --help              show this help\n";
             return diff(Args{argc, argv,
-                             "BASE.jsonl CAND.jsonl [--allow-best-delta X]\n"
-                             "          [--allow-count-delta N] [--no-counters]\n"
-                             "          [--max-throughput-drop PCT] [--max-phase-slowdown PCT]\n"
-                             "          [--store-check] [--min-store-hit-rate PCT]\n",
-                             ""});
+                             "BASE.jsonl CAND.jsonl [--store-check] [--min-store-hit-rate PCT]\n",
+                             options.c_str()});
+        }
         if (sub == "lineage")
             return lineage(Args{argc, argv, "TRACE.jsonl [--run N]\n",
                                 "  --run N     report only run N (0-based; default: all"
@@ -660,7 +582,7 @@ int main(int argc, char** argv)
         std::fprintf(stderr, "nautilus_trace: unknown subcommand '%s'\n", sub.c_str());
     std::fprintf(help ? stdout : stderr,
                  "usage: %s inspect TRACE.jsonl [--check] [--chrome OUT.json]\n"
-                 "       %s diff BASE.jsonl CAND.jsonl [options]\n"
+                 "       %s diff BASE.jsonl CAND.jsonl [--store-check] [--min-store-hit-rate P]\n"
                  "       %s lineage TRACE.jsonl [--run N]\n"
                  "run '%s SUBCOMMAND --help' for a subcommand's options\n",
                  argv[0], argv[0], argv[0], argv[0]);
