@@ -233,12 +233,14 @@ std::vector<Diagnostic> check_runs(const TraceRuns& trace, bool require_run_end)
         const RunWindow& run = trace.runs[i];
         if (!run.closed) {
             if (require_run_end)
-                out.push_back({0, strprintf("run %zu (%s, line %zu): run_start without run_end",
-                                            i, run.engine.c_str(), run.first_line)});
+                out.push_back({0,
+                               strprintf("run %zu (%s, line %zu): run_start without run_end",
+                                         i, run.engine.c_str(), run.first_line),
+                               i});
             continue;
         }
         const std::string prefix = strprintf("run %zu (%s): ", i, run.engine.c_str());
-        const auto fail = [&](const std::string& text) { out.push_back({0, prefix + text}); };
+        const auto fail = [&](const std::string& text) { out.push_back({0, prefix + text, i}); };
         const auto expect = [&](const char* what, std::uint64_t got, std::uint64_t want) {
             if (got != want)
                 fail(strprintf("%s %" PRIu64 " != expected %" PRIu64, what, got, want));

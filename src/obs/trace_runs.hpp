@@ -110,10 +110,11 @@ struct RunWindow {
 };
 
 // A finding about a trace.  `line` is the source line for line-level
-// findings and 0 for run-level ones.
+// findings and 0 for run-level ones, which name their run's index in `run`.
 struct Diagnostic {
     std::size_t line = 0;
     std::string text;
+    std::size_t run = 0;
 };
 
 struct SpanTotal {

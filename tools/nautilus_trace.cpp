@@ -37,10 +37,20 @@
 //     Explains *why* a search found what it found (DESIGN.md section 11):
 //     per run, the hint-class efficacy table (offspring produced ->
 //     survived -> improved-best), winner gene attribution and the winner's
-//     ancestry.  When a run started from scratch (births_at_start == 0) the
-//     birth events are re-summarized with obs::summarize_lineage and any
-//     disagreement with the run's lineage_summary fails -- the engines'
-//     arithmetic, done again independently.  --run N reports run N only.
+//     ancestry.  Each reported run is then checked two ways, and any
+//     finding fails:
+//       * obs::check_runs, as in `inspect --check`, recounts from the birth
+//         events alone, without obs::summarize_lineage: births, roots,
+//         elites, mutation and crossover births against the
+//         lineage_summary, and each generation's births and mutation
+//         origins by class against its breed/generation event; it also
+//         closes the run's evaluation accounting;
+//       * when the run started from scratch (births_at_start == 0), the
+//         births are re-summarized with obs::summarize_lineage, the
+//         function the engines call, so the gene-class totals and winner
+//         attribution are checked for agreement with the trace's births,
+//         not for the arithmetic itself.
+//     --run N reports run N only.
 //
 // Unknown flags are rejected with a usage message, so CI scripts fail fast
 // on typos instead of treating a flag as a trace path.
@@ -526,10 +536,19 @@ int lineage(Args args)
         print_ancestry(run);
         mismatches += cross_check(args.tool(), run, i);
     }
+    // Line-level findings are trace.issues, printed above.
+    std::size_t run_errors = 0;
+    for (const Diagnostic& d : check_runs(trace, /*require_run_end=*/false)) {
+        if (d.line > 0 || (only_run && d.run != *only_run)) continue;
+        ++run_errors;
+        std::fprintf(stderr, "%s\n", d.text.c_str());
+    }
 
-    if (!trace.issues.empty() || mismatches > 0) {
-        std::fprintf(stderr, "%s: FAIL (%zu parse errors, %zu cross-check mismatches)\n",
-                     args.tool(), trace.issues.size(), mismatches);
+    if (!trace.issues.empty() || mismatches > 0 || run_errors > 0) {
+        std::fprintf(stderr,
+                     "%s: FAIL (%zu parse errors, %zu accounting errors, %zu cross-check"
+                     " mismatches)\n",
+                     args.tool(), trace.issues.size(), run_errors, mismatches);
         return 1;
     }
     if (reported == 0) std::printf("%s: no lineage events in %s\n", args.tool(), path.c_str());
